@@ -9,13 +9,13 @@
 use freelunch_graph::NodeId;
 use freelunch_runtime::transport::CodecError;
 use freelunch_runtime::{Context, Envelope, NodeProgram};
-use std::collections::BTreeSet;
 
 /// The per-node program: repeatedly broadcast everything newly learned.
 #[derive(Debug)]
 pub struct BallGathering {
     horizon: u32,
-    known: BTreeSet<u32>,
+    /// Sorted and duplicate-free.
+    known: Vec<u32>,
     fresh: Vec<u32>,
 }
 
@@ -24,15 +24,81 @@ impl BallGathering {
     pub fn new(node: NodeId, horizon: u32) -> Self {
         BallGathering {
             horizon,
-            known: BTreeSet::from([node.raw()]),
+            known: vec![node.raw()],
             fresh: vec![node.raw()],
         }
     }
 
-    /// The IDs gathered so far (the node's view of its ball).
+    /// The IDs gathered so far (the node's view of its ball), ascending.
     pub fn known_ids(&self) -> Vec<u32> {
-        self.known.iter().copied().collect()
+        self.known.clone()
     }
+}
+
+/// Merges every ID in `bundles` into `known` (sorted, duplicate-free) and
+/// appends the IDs it did not hold before to `fresh`, in ascending order.
+///
+/// A dense round (many IDs over a narrow span) is deduplicated with a word
+/// bitmap over the span; a sparse one, whose span in 64-bit words exceeds
+/// its ID count, is gathered and sorted instead, so the bitmap never
+/// outgrows the round's ID count and no node allocates O(n) for a few
+/// far-apart IDs. One linear merge with `known` then yields both the new
+/// `known` and the fresh IDs.
+fn absorb<'a>(
+    known: &mut Vec<u32>,
+    fresh: &mut Vec<u32>,
+    bundles: impl Iterator<Item = &'a [u32]> + Clone,
+) {
+    let (mut count, mut lo, mut hi) = (0usize, u32::MAX, 0u32);
+    for bundle in bundles.clone() {
+        count += bundle.len();
+        for &id in bundle {
+            lo = lo.min(id);
+            hi = hi.max(id);
+        }
+    }
+    if count == 0 {
+        return;
+    }
+    let words = ((hi - lo) / 64) as usize + 1;
+    let ids = if words <= count {
+        let mut bits = vec![0u64; words];
+        for &id in bundles.flatten() {
+            let offset = id - lo;
+            bits[(offset / 64) as usize] |= 1 << (offset % 64);
+        }
+        let mut ids = Vec::new();
+        for (word_index, mut word) in bits.into_iter().enumerate() {
+            let base = lo + 64 * word_index as u32;
+            while word != 0 {
+                ids.push(base + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+        ids
+    } else {
+        let mut ids = Vec::with_capacity(count);
+        for bundle in bundles {
+            ids.extend_from_slice(bundle);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    };
+
+    let mut merged = Vec::with_capacity(known.len() + ids.len());
+    let mut old = known.iter().copied().peekable();
+    for id in ids {
+        while let Some(held) = old.next_if(|&held| held < id) {
+            merged.push(held);
+        }
+        if old.next_if_eq(&id).is_none() {
+            fresh.push(id);
+        }
+        merged.push(id);
+    }
+    merged.extend(old);
+    *known = merged;
 }
 
 impl NodeProgram for BallGathering {
@@ -46,13 +112,11 @@ impl NodeProgram for BallGathering {
     }
 
     fn round(&mut self, ctx: &mut Context<'_, Vec<u32>>, inbox: &[Envelope<Vec<u32>>]) {
-        for envelope in inbox {
-            for &id in &envelope.payload {
-                if self.known.insert(id) {
-                    self.fresh.push(id);
-                }
-            }
-        }
+        absorb(
+            &mut self.known,
+            &mut self.fresh,
+            inbox.iter().map(|envelope| envelope.payload.as_slice()),
+        );
         if ctx.round() < self.horizon && !self.fresh.is_empty() {
             ctx.broadcast(self.fresh.clone());
         }
@@ -71,21 +135,21 @@ impl NodeProgram for BallGathering {
         4 * message.len() as u64
     }
 
-    /// Checkpoint encoding: horizon, then the known set (already sorted —
-    /// it is a `BTreeSet`) and the fresh list, each with a `u32` count
-    /// prefix (all little-endian).
+    /// Checkpoint encoding: horizon, then the known set (ascending) and the
+    /// fresh list, each with a `u32` count prefix (all little-endian).
     fn save_state(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.horizon.to_le_bytes());
-        buf.extend_from_slice(&(self.known.len() as u32).to_le_bytes());
-        for &id in &self.known {
-            buf.extend_from_slice(&id.to_le_bytes());
-        }
-        buf.extend_from_slice(&(self.fresh.len() as u32).to_le_bytes());
-        for &id in &self.fresh {
-            buf.extend_from_slice(&id.to_le_bytes());
+        for list in [&self.known, &self.fresh] {
+            buf.extend_from_slice(&(list.len() as u32).to_le_bytes());
+            for &id in list {
+                buf.extend_from_slice(&id.to_le_bytes());
+            }
         }
     }
 
+    /// Decodes [`save_state`](NodeProgram::save_state)'s encoding. The known
+    /// list is sorted and deduplicated on load, so a hand-edited or hostile
+    /// blob cannot break the set invariant `absorb` relies on.
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         let u32_at = |i: usize| -> Result<u32, CodecError> {
             if i + 4 > bytes.len() {
@@ -101,27 +165,29 @@ impl NodeProgram for BallGathering {
                 bytes[i + 3],
             ]))
         };
+        let list_at = |cursor: &mut usize| -> Result<Vec<u32>, CodecError> {
+            let count = u32_at(*cursor)? as usize;
+            *cursor += 4;
+            // A count read from the blob cannot reserve more than its bytes.
+            let mut list = Vec::with_capacity(count.min((bytes.len() - *cursor) / 4 + 1));
+            for _ in 0..count {
+                list.push(u32_at(*cursor)?);
+                *cursor += 4;
+            }
+            Ok(list)
+        };
         let horizon = u32_at(0)?;
-        let known_count = u32_at(4)? as usize;
-        let mut known = BTreeSet::new();
-        let mut cursor = 8;
-        for _ in 0..known_count {
-            known.insert(u32_at(cursor)?);
-            cursor += 4;
-        }
-        let fresh_count = u32_at(cursor)? as usize;
-        cursor += 4;
-        let mut fresh = Vec::with_capacity(fresh_count);
-        for _ in 0..fresh_count {
-            fresh.push(u32_at(cursor)?);
-            cursor += 4;
-        }
+        let mut cursor = 4;
+        let mut known = list_at(&mut cursor)?;
+        let fresh = list_at(&mut cursor)?;
         if cursor != bytes.len() {
             return Err(CodecError::Oversized {
                 expected: cursor,
                 got: bytes.len(),
             });
         }
+        known.sort_unstable();
+        known.dedup();
         self.horizon = horizon;
         self.known = known;
         self.fresh = fresh;
@@ -136,6 +202,9 @@ mod tests {
     use freelunch_graph::traversal::ball;
     use freelunch_graph::MultiGraph;
     use freelunch_runtime::{Network, NetworkConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn run_gathering(graph: &MultiGraph, t: u32) -> Vec<Vec<u32>> {
         let run = |shards: usize| {
@@ -155,13 +224,11 @@ mod tests {
         sequential
     }
 
-    #[test]
-    fn gathers_exactly_the_t_ball() {
-        let graph = connected_erdos_renyi(&GeneratorConfig::new(60, 3), 0.08).unwrap();
-        for t in [0u32, 1, 2, 3] {
-            let views = run_gathering(&graph, t);
+    fn assert_gathers_the_t_ball(graph: &MultiGraph, horizons: &[u32]) {
+        for &t in horizons {
+            let views = run_gathering(graph, t);
             for v in graph.nodes() {
-                let expected: Vec<u32> = ball(&graph, v, t)
+                let expected: Vec<u32> = ball(graph, v, t)
                     .unwrap()
                     .into_iter()
                     .map(NodeId::raw)
@@ -169,6 +236,30 @@ mod tests {
                 assert_eq!(views[v.index()], expected, "node {v}, t={t}");
             }
         }
+    }
+
+    #[test]
+    fn gathers_exactly_the_t_ball() {
+        let dense = connected_erdos_renyi(&GeneratorConfig::new(60, 3), 0.08).unwrap();
+        assert_gathers_the_t_ball(&dense, &[0, 1, 2, 3]);
+
+        // Sparse and wide: a round-1 inbox holds a few neighbour IDs spread
+        // over the whole 0..n range, so `absorb` takes its sort side.
+        let sparse = connected_erdos_renyi(&GeneratorConfig::new(600, 5), 0.006).unwrap();
+        let sorted_inboxes = sparse
+            .nodes()
+            .filter(|&v| {
+                let ids: Vec<u32> = sparse
+                    .incident_edges(v)
+                    .iter()
+                    .map(|incident| incident.neighbor.raw())
+                    .collect();
+                let span = ids.iter().max().unwrap() - ids.iter().min().unwrap();
+                (span / 64) as usize + 1 > ids.len()
+            })
+            .count();
+        assert!(sorted_inboxes > 100, "only {sorted_inboxes} sparse inboxes");
+        assert_gathers_the_t_ball(&sparse, &[1, 2, 3]);
     }
 
     #[test]
@@ -185,5 +276,150 @@ mod tests {
         for (v, view) in views.iter().enumerate() {
             assert_eq!(view, &vec![v as u32]);
         }
+    }
+
+    /// `absorb` against the `BTreeSet` insertion loop it replaces.
+    fn check_absorb(known: &[u32], bundles: &[Vec<u32>]) {
+        let mut reference: BTreeSet<u32> = known.iter().copied().collect();
+        let mut expected_fresh: Vec<u32> = bundles
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&id| reference.insert(id))
+            .collect();
+        expected_fresh.sort_unstable();
+        expected_fresh.insert(0, 42);
+
+        let mut merged = known.to_vec();
+        let mut fresh = vec![42];
+        absorb(&mut merged, &mut fresh, bundles.iter().map(Vec::as_slice));
+        let expected_known: Vec<u32> = reference.into_iter().collect();
+        assert_eq!(
+            merged, expected_known,
+            "known {known:?}, bundles {bundles:?}"
+        );
+        assert_eq!(
+            fresh, expected_fresh,
+            "known {known:?}, bundles {bundles:?}"
+        );
+    }
+
+    #[test]
+    fn absorb_matches_a_btreeset_on_seeded_inboxes() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for trial in 0..500 {
+            // The ID pool: narrow spans near 0 and near u32::MAX take the
+            // bitmap side, wide spans the sort side.
+            let (base, span) = match trial % 5 {
+                0 => (0, 64),
+                1 => (u32::MAX - 200, 200),
+                2 => (rng.gen_range(0..1u32 << 20), 1 << 12),
+                3 => (0, u32::MAX),
+                _ => (rng.gen_range(0..u32::MAX / 2), u32::MAX / 2),
+            };
+            let draw = |rng: &mut StdRng| base + rng.gen_range(0..span) + rng.gen_range(0..2u32);
+            let known: BTreeSet<u32> = (0..rng.gen_range(0..40usize))
+                .map(|_| draw(&mut rng))
+                .collect();
+            let known: Vec<u32> = known.into_iter().collect();
+            let bundles: Vec<Vec<u32>> = (0..rng.gen_range(0..8usize))
+                .map(|_| {
+                    let len = rng.gen_range(0..200usize);
+                    let mut bundle: Vec<u32> = (0..len).map(|_| draw(&mut rng)).collect();
+                    // Repeat some IDs within the bundle, and some known ones.
+                    for _ in 0..len / 4 {
+                        let pick = bundle[rng.gen_range(0..len)];
+                        bundle.push(pick);
+                    }
+                    if !known.is_empty() && rng.gen_bool(0.5) {
+                        bundle.push(known[rng.gen_range(0..known.len())]);
+                    }
+                    bundle
+                })
+                .collect();
+            check_absorb(&known, &bundles);
+            // The same bundles twice: every ID repeats across bundles.
+            let doubled: Vec<Vec<u32>> = bundles.iter().chain(&bundles).cloned().collect();
+            check_absorb(&known, &doubled);
+        }
+    }
+
+    #[test]
+    fn absorb_handles_edge_inboxes() {
+        check_absorb(&[], &[]);
+        check_absorb(&[3], &[]);
+        check_absorb(&[3], &[vec![], vec![]]);
+        check_absorb(&[], &[vec![0], vec![u32::MAX], vec![u32::MAX, 0]]);
+        check_absorb(&[0, u32::MAX], &[vec![u32::MAX - 1, 1, u32::MAX]]);
+        check_absorb(&[1, 5, 9], &[vec![9, 5, 1], vec![1]]);
+        // Either side of the bitmap/sort rule: `count` distinct IDs whose
+        // span is exactly `count` 64-bit words (bitmap), then one word wider
+        // (sort), each in descending order and split into two bundles.
+        for count in [2u32, 17, 64] {
+            let bitmap: Vec<u32> = (0..count).rev().map(|i| 64 * i).collect();
+            let mut sort = bitmap.clone();
+            sort[0] += 64;
+            for known in [vec![], vec![0, 64], vec![5, 64 * count]] {
+                for ids in [&bitmap, &sort] {
+                    let (first, second) = ids.split_at(ids.len() / 2);
+                    check_absorb(&known, &[first.to_vec(), second.to_vec()]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn save_state_encoding_is_pinned() {
+        let words = |program: &BallGathering| {
+            let mut buf = Vec::new();
+            program.save_state(&mut buf);
+            buf.chunks(4)
+                .map(|chunk| u32::from_le_bytes(chunk.try_into().unwrap()))
+                .collect::<Vec<u32>>()
+        };
+        // Horizon, then the count-prefixed ascending known list, then the
+        // count-prefixed fresh list.
+        let fresh_node = BallGathering::new(NodeId::new(5), 2);
+        assert_eq!(words(&fresh_node), [2, 1, 5, 1, 5]);
+        let program = BallGathering {
+            horizon: 3,
+            known: vec![1, 7, 300, u32::MAX],
+            fresh: vec![7, 300],
+        };
+        let mut buf = Vec::new();
+        program.save_state(&mut buf);
+        assert_eq!(
+            buf,
+            [
+                3, 0, 0, 0, 4, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 44, 1, 0, 0, 255, 255, 255, 255, 2,
+                0, 0, 0, 7, 0, 0, 0, 44, 1, 0, 0,
+            ]
+        );
+        let mut restored = BallGathering::new(NodeId::new(0), 0);
+        restored.load_state(&buf).unwrap();
+        assert_eq!(words(&restored), words(&program));
+    }
+
+    #[test]
+    fn hostile_checkpoints_return_instead_of_aborting() {
+        let blob =
+            |words: &[u32]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let mut program = BallGathering::new(NodeId::new(0), 2);
+        // Counts far beyond the blob's bytes are refused, not allocated.
+        for hostile in [[2, 0, u32::MAX], [2, u32::MAX, 0]] {
+            assert!(matches!(
+                program.load_state(&blob(&hostile)),
+                Err(CodecError::Truncated { .. })
+            ));
+        }
+        // An unsorted known list with duplicates is normalised to a set.
+        program
+            .load_state(&blob(&[2, 5, 9, 3, 9, 1, 3, 0]))
+            .unwrap();
+        assert_eq!(program.known_ids(), [1, 3, 9]);
+        let mut fresh = Vec::new();
+        absorb(&mut program.known, &mut fresh, [&[4, 9, 0][..]].into_iter());
+        assert_eq!(program.known_ids(), [0, 1, 3, 4, 9]);
+        assert_eq!(fresh, [0, 4]);
     }
 }
