@@ -1,11 +1,13 @@
 //! Frozen, cache-friendly graph views in compressed-sparse-row (CSR) form.
 //!
 //! [`MultiGraph`] is the *mutable* substrate: adjacency lives in one `Vec`
-//! per node and edge lookup goes through a `HashMap`, which is convenient
-//! while a graph (or a cluster graph of the `Sampler` hierarchy) is being
-//! built, but wasteful in the hot loops of the runtime and the traversal
-//! routines — every neighbor scan chases a separate heap allocation and
-//! every per-message edge lookup hashes.
+//! per node, and an edge is looked up at the storage slot equal to its raw
+//! ID, with a `HashMap` holding only the edges stored elsewhere (explicit
+//! IDs, removals). That is convenient while a graph (or a cluster graph of
+//! the `Sampler` hierarchy) is being built, but wasteful in the hot loops
+//! of the runtime and the traversal routines — every neighbor scan chases a
+//! separate heap allocation, and a lookup in a cluster graph, whose edges
+//! keep the IDs of the graph below, hashes.
 //!
 //! [`CsrGraph`] is the *frozen* counterpart produced by
 //! [`MultiGraph::freeze`]: all incidence lists are packed back-to-back into

@@ -128,25 +128,31 @@ pub fn sparse_connected_erdos_renyi(
     };
     let mut rng = config.rng();
 
-    // Random Hamiltonian path guaranteeing connectivity.
+    // Random Hamiltonian path guaranteeing connectivity; `pos` inverts
+    // `order`, so `u` and `v` are path neighbours iff their positions differ
+    // by one.
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);
-    let mut present: std::collections::HashSet<(usize, usize)> =
-        std::collections::HashSet::with_capacity(n + (expected_degree * n as f64 / 2.0) as usize);
+    let mut pos = vec![0usize; n];
+    for (i, &node) in order.iter().enumerate() {
+        pos[node] = i;
+    }
     let expected_edges = n + (expected_degree * n as f64 / 2.0) as usize;
-    let mut graph = MultiGraph::with_capacity(n, expected_edges);
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(expected_edges);
     for w in order.windows(2) {
-        let key = (w[0].min(w[1]), w[0].max(w[1]));
-        present.insert(key);
-        graph.add_edge(NodeId::from_usize(key.0), NodeId::from_usize(key.1))?;
+        edges.push((
+            NodeId::from_usize(w[0].min(w[1])),
+            NodeId::from_usize(w[0].max(w[1])),
+        ));
     }
     if p <= 0.0 {
-        return Ok(graph);
+        return MultiGraph::from_edges(n, edges);
     }
 
     // Batagelj–Brandes skip sampling over the upper-triangle pairs (w, v)
     // with w < v: jump ahead by a geometrically distributed gap instead of
-    // flipping a coin per pair.
+    // flipping a coin per pair. The walk visits each pair at most once, so
+    // a drawn pair can only repeat a backbone edge, which is skipped.
     let log_q = (1.0 - p).ln();
     let mut v: usize = 1;
     let mut w: i64 = -1;
@@ -160,14 +166,11 @@ pub fn sparse_connected_erdos_renyi(
             w -= v as i64;
             v += 1;
         }
-        if v < n {
-            let key = (w as usize, v);
-            if present.insert(key) {
-                graph.add_edge(NodeId::from_usize(key.0), NodeId::from_usize(key.1))?;
-            }
+        if v < n && pos[w as usize].abs_diff(pos[v]) != 1 {
+            edges.push((NodeId::from_usize(w as usize), NodeId::from_usize(v)));
         }
     }
-    Ok(graph)
+    MultiGraph::from_edges(n, edges)
 }
 
 /// Uniform random graph with exactly `m` distinct edges (`G(n, m)` model).

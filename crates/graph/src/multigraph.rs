@@ -89,6 +89,10 @@ pub struct IncidentEdge {
 pub struct MultiGraph {
     node_count: usize,
     edges: Vec<Edge>,
+    /// Storage index of every edge whose raw ID differs from its index in
+    /// `edges`. An edge stored at the index equal to its raw ID (every edge
+    /// [`MultiGraph::add_edge`] creates, until a removal moves it) is found
+    /// by position and has no entry.
     edge_index: HashMap<EdgeId, usize>,
     adjacency: Vec<Vec<IncidentEdge>>,
     next_edge_id: u64,
@@ -111,7 +115,7 @@ impl MultiGraph {
         MultiGraph {
             node_count,
             edges: Vec::with_capacity(edge_capacity),
-            edge_index: HashMap::with_capacity(edge_capacity),
+            edge_index: HashMap::new(),
             adjacency: vec![Vec::new(); node_count],
             next_edge_id: 0,
         }
@@ -119,6 +123,9 @@ impl MultiGraph {
 
     /// Builds a graph from an edge list, assigning sequential edge IDs in the
     /// order given.
+    ///
+    /// The degrees are counted first, so every adjacency list is allocated
+    /// once at its final size.
     ///
     /// # Errors
     ///
@@ -128,7 +135,23 @@ impl MultiGraph {
         node_count: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> GraphResult<Self> {
-        let mut graph = MultiGraph::new(node_count);
+        let edges: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
+        let mut degrees = vec![0usize; node_count];
+        for &(u, v) in &edges {
+            // Out-of-range endpoints are reported by `add_edge` below.
+            for node in [u, v] {
+                if let Some(degree) = degrees.get_mut(node.index()) {
+                    *degree += 1;
+                }
+            }
+        }
+        let mut graph = MultiGraph {
+            node_count,
+            edges: Vec::with_capacity(edges.len()),
+            edge_index: HashMap::new(),
+            adjacency: degrees.into_iter().map(Vec::with_capacity).collect(),
+            next_edge_id: 0,
+        };
         for (u, v) in edges {
             graph.add_edge(u, v)?;
         }
@@ -184,13 +207,16 @@ impl MultiGraph {
         }
     }
 
-    /// Adds an edge between `u` and `v`, assigning the next free edge ID.
+    /// Adds an edge between `u` and `v`, assigning the next free edge ID:
+    /// one more than the largest ID below `u64::MAX` ever inserted.
     ///
     /// Parallel edges are permitted.
     ///
     /// # Errors
     ///
-    /// Returns an error if either endpoint is out of range or `u == v`.
+    /// Returns an error if either endpoint is out of range or `u == v`, or
+    /// [`GraphError::DuplicateEdgeId`] if the ID it would assign is in use,
+    /// which can only happen once the counter has reached `u64::MAX`.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> GraphResult<EdgeId> {
         let id = EdgeId::new(self.next_edge_id);
         self.add_edge_with_id(id, u, v)?;
@@ -212,12 +238,11 @@ impl MultiGraph {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if self.edge_index.contains_key(&id) {
+        if self.contains_edge(id) {
             return Err(GraphError::DuplicateEdgeId { edge: id });
         }
-        let idx = self.edges.len();
+        self.index_edge(id, self.edges.len());
         self.edges.push(Edge { id, u, v });
-        self.edge_index.insert(id, idx);
         self.adjacency[u.index()].push(IncidentEdge {
             edge: id,
             neighbor: v,
@@ -226,8 +251,37 @@ impl MultiGraph {
             edge: id,
             neighbor: u,
         });
-        self.next_edge_id = self.next_edge_id.max(id.raw() + 1);
+        // `u64::MAX` has no successor: the counter passes over it rather
+        // than wrap.
+        if let Some(next) = id.raw().checked_add(1) {
+            self.next_edge_id = self.next_edge_id.max(next);
+        }
         Ok(())
+    }
+
+    /// Storage index of the edge with identifier `id`: by position when the
+    /// edge sits at the index equal to its raw ID, otherwise through
+    /// `edge_index`.
+    #[inline]
+    fn slot_of(&self, id: EdgeId) -> Option<usize> {
+        match self.edges.get(id.index()) {
+            Some(edge) if edge.id == id => Some(id.index()),
+            _ => self.edge_index.get(&id).copied(),
+        }
+    }
+
+    /// Records that edge `id` is stored at `slot`.
+    fn index_edge(&mut self, id: EdgeId, slot: usize) {
+        if id.raw() != slot as u64 {
+            self.edge_index.insert(id, slot);
+        }
+    }
+
+    /// Forgets that edge `id` is stored at `slot`.
+    fn unindex_edge(&mut self, id: EdgeId, slot: usize) {
+        if id.raw() != slot as u64 {
+            self.edge_index.remove(&id);
+        }
     }
 
     /// Removes the edge with identifier `id` and returns it.
@@ -239,19 +293,21 @@ impl MultiGraph {
     /// graph after removals. Adjacency lists keep their relative order. The
     /// removed identifier may be reused by a later
     /// [`MultiGraph::add_edge_with_id`], but [`MultiGraph::add_edge`] never
-    /// hands it out again.
+    /// hands it out again (except `u64::MAX`, where its counter stops).
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::UnknownEdge`] if no such edge exists.
     pub fn remove_edge(&mut self, id: EdgeId) -> GraphResult<Edge> {
         let idx = self
-            .edge_index
-            .remove(&id)
+            .slot_of(id)
             .ok_or(GraphError::UnknownEdge { edge: id })?;
+        self.unindex_edge(id, idx);
         let removed = self.edges.swap_remove(idx);
-        if let Some(moved) = self.edges.get(idx) {
-            self.edge_index.insert(moved.id, idx);
+        if let Some(&moved) = self.edges.get(idx) {
+            // `moved` came from the last slot, which is now past the end.
+            self.unindex_edge(moved.id, self.edges.len());
+            self.index_edge(moved.id, idx);
         }
         self.adjacency[removed.u.index()].retain(|ie| ie.edge != id);
         self.adjacency[removed.v.index()].retain(|ie| ie.edge != id);
@@ -260,7 +316,7 @@ impl MultiGraph {
 
     /// Returns `true` if the graph contains an edge with identifier `id`.
     pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edge_index.contains_key(&id)
+        self.slot_of(id).is_some()
     }
 
     /// Returns the edge with identifier `id`.
@@ -269,9 +325,8 @@ impl MultiGraph {
     ///
     /// Returns [`GraphError::UnknownEdge`] if no such edge exists.
     pub fn edge(&self, id: EdgeId) -> GraphResult<&Edge> {
-        self.edge_index
-            .get(&id)
-            .map(|&idx| &self.edges[idx])
+        self.slot_of(id)
+            .map(|idx| &self.edges[idx])
             .ok_or(GraphError::UnknownEdge { edge: id })
     }
 
@@ -683,5 +738,199 @@ mod tests {
             assert_eq!(g.degree(node), 2);
         }
         assert_eq!(g.incidence_count(), 6);
+    }
+
+    #[test]
+    fn largest_edge_id_does_not_overflow_the_counter() {
+        let mut g = MultiGraph::new(3);
+        let max = EdgeId::new(u64::MAX);
+        g.add_edge_with_id(max, n(0), n(1)).unwrap();
+        // `u64::MAX` has no successor, so the counter passes over it.
+        assert_eq!(g.add_edge(n(1), n(2)), Ok(EdgeId::new(0)));
+        assert_eq!(g.add_edge(n(1), n(2)), Ok(EdgeId::new(1)));
+        assert_eq!(g.endpoints(max), Ok((n(0), n(1))));
+
+        // Pushed up to `u64::MAX` by an explicit ID, the counter offers the
+        // ID in use and is refused, instead of wrapping to a smaller one.
+        g.add_edge_with_id(EdgeId::new(u64::MAX - 1), n(0), n(2))
+            .unwrap();
+        assert_eq!(
+            g.add_edge(n(0), n(2)),
+            Err(GraphError::DuplicateEdgeId { edge: max })
+        );
+        assert_eq!(g.edge_count(), 4);
+        g.remove_edge(max).unwrap();
+        assert_eq!(g.add_edge(n(0), n(2)), Ok(max));
+        assert_eq!(
+            g.add_edge(n(0), n(2)),
+            Err(GraphError::DuplicateEdgeId { edge: max })
+        );
+        let mut ids: Vec<u64> = g.edge_ids().map(EdgeId::raw).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, u64::MAX - 1, u64::MAX]);
+    }
+
+    /// Reference model of a multigraph: edges by ID plus insertion-ordered
+    /// adjacency, with the auto-ID rule stated independently.
+    struct Model {
+        edges: std::collections::BTreeMap<u64, (NodeId, NodeId)>,
+        adjacency: Vec<Vec<IncidentEdge>>,
+        /// Largest ID below `u64::MAX` ever inserted.
+        largest: Option<u64>,
+    }
+
+    impl Model {
+        fn add(&mut self, id: u64, u: NodeId, v: NodeId) -> GraphResult<()> {
+            if self.edges.contains_key(&id) {
+                return Err(GraphError::DuplicateEdgeId {
+                    edge: EdgeId::new(id),
+                });
+            }
+            self.edges.insert(id, (u, v));
+            let edge = EdgeId::new(id);
+            self.adjacency[u.index()].push(IncidentEdge { edge, neighbor: v });
+            self.adjacency[v.index()].push(IncidentEdge { edge, neighbor: u });
+            if id != u64::MAX {
+                self.largest = self.largest.max(Some(id));
+            }
+            Ok(())
+        }
+
+        fn remove(&mut self, id: u64) -> GraphResult<Edge> {
+            let edge = EdgeId::new(id);
+            let (u, v) = self
+                .edges
+                .remove(&id)
+                .ok_or(GraphError::UnknownEdge { edge })?;
+            for node in [u, v] {
+                self.adjacency[node.index()].retain(|ie| ie.edge != edge);
+            }
+            Ok(Edge { id: edge, u, v })
+        }
+
+        fn next_auto(&self) -> u64 {
+            self.largest.map_or(0, |id| id + 1)
+        }
+    }
+
+    fn assert_matches_model(g: &MultiGraph, model: &Model, probes: &[u64], step: usize) {
+        assert_eq!(g.edge_count(), model.edges.len(), "step {step}");
+        let mut ids: Vec<u64> = g.edge_ids().map(EdgeId::raw).collect();
+        ids.sort_unstable();
+        assert!(
+            ids.iter().copied().eq(model.edges.keys().copied()),
+            "step {step}"
+        );
+        let frozen = g.freeze();
+        for &raw in model.edges.keys().chain(probes) {
+            let id = EdgeId::new(raw);
+            let expected = model.edges.get(&raw).map(|&(u, v)| Edge { id, u, v });
+            let unknown = GraphError::UnknownEdge { edge: id };
+            assert_eq!(
+                g.edge(id).copied(),
+                expected.ok_or(unknown.clone()),
+                "step {step} {id}"
+            );
+            assert_eq!(
+                frozen.edge(id).copied(),
+                expected.ok_or(unknown.clone()),
+                "step {step} {id}"
+            );
+            assert_eq!(g.contains_edge(id), expected.is_some(), "step {step} {id}");
+            assert_eq!(
+                frozen.contains_edge(id),
+                expected.is_some(),
+                "step {step} {id}"
+            );
+            assert_eq!(
+                g.endpoints(id),
+                expected.map(|e| (e.u, e.v)).ok_or(unknown),
+                "step {step} {id}"
+            );
+        }
+        for node in g.nodes() {
+            let list = &model.adjacency[node.index()];
+            assert_eq!(g.degree(node), list.len(), "step {step} {node}");
+            assert_eq!(
+                g.incident_edges(node),
+                list.as_slice(),
+                "step {step} {node}"
+            );
+            assert_eq!(
+                frozen.incident_edges(node),
+                list.as_slice(),
+                "step {step} {node}"
+            );
+        }
+    }
+
+    /// Seeded random interleavings of `add_edge`, `add_edge_with_id` and
+    /// `remove_edge` against the reference model. The explicit IDs cover
+    /// the next storage slot, a slot below and above it, an ID in use and
+    /// `u64::MAX`, so edges land both at and away from the index equal to
+    /// their ID, and removals move edges between the two.
+    #[test]
+    fn edge_lookup_matches_a_reference_model() {
+        use rand::{Rng, SeedableRng};
+        const NODES: u32 = 5;
+        for seed in 0..40 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut g = MultiGraph::new(NODES as usize);
+            let mut model = Model {
+                edges: std::collections::BTreeMap::new(),
+                adjacency: vec![Vec::new(); NODES as usize],
+                largest: None,
+            };
+            let mut removed: Vec<u64> = Vec::new();
+            for step in 0..160 {
+                let u = n(rng.gen_range(0..NODES));
+                let v = n((u.raw() + rng.gen_range(1..NODES)) % NODES);
+                let present: Vec<u64> = model.edges.keys().copied().collect();
+                let slot = g.edge_count() as u64;
+                match rng.gen_range(0..8) {
+                    0 | 1 => {
+                        let expected = model.next_auto();
+                        let result = g.add_edge(u, v);
+                        assert_eq!(
+                            result,
+                            model.add(expected, u, v).map(|()| EdgeId::new(expected)),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    2 | 3 => {
+                        let id = match rng.gen_range(0..5) {
+                            0 => slot,
+                            1 => rng.gen_range(0..slot.max(1)),
+                            2 => slot + rng.gen_range(1..4u64),
+                            3 => present
+                                .get(rng.gen_range(0..present.len().max(1)))
+                                .copied()
+                                .unwrap_or(slot),
+                            _ => u64::MAX,
+                        };
+                        let result = g.add_edge_with_id(EdgeId::new(id), u, v);
+                        assert_eq!(result, model.add(id, u, v), "seed {seed} step {step}");
+                    }
+                    _ => {
+                        let id = match rng.gen_range(0..4) {
+                            0 if !removed.is_empty() => removed[rng.gen_range(0..removed.len())],
+                            1 => slot + 1,
+                            _ => present
+                                .get(rng.gen_range(0..present.len().max(1)))
+                                .copied()
+                                .unwrap_or(slot),
+                        };
+                        let result = g.remove_edge(EdgeId::new(id));
+                        assert_eq!(result, model.remove(id), "seed {seed} step {step}");
+                        if result.is_ok() {
+                            removed.push(id);
+                        }
+                    }
+                }
+                let probes = [slot, slot + 1, model.next_auto(), u64::MAX];
+                let probes: Vec<u64> = probes.into_iter().chain(removed.iter().copied()).collect();
+                assert_matches_model(&g, &model, &probes, step);
+            }
+        }
     }
 }
