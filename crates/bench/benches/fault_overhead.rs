@@ -4,13 +4,15 @@
 //!
 //! (a) and (b) must be indistinguishable — the engine resolves an empty
 //! plan to the failure-free fast path at construction time, so the per-round
-//! fault cost of a clean execution is exactly zero (the correctness side of
-//! that claim is pinned by `tests/fault_matrix.rs`; this bench watches the
-//! wall-clock side). (c) shows what a live plan costs per message: one
-//! keyed ChaCha draw plus the pre-pass copy.
+//! fault cost of a clean execution is exactly zero. Before timing anything,
+//! the bench runs (a) and (b) for the same rounds and asserts that their
+//! ledgers, metrics and pending counts are equal (`tests/fault_matrix.rs`
+//! pins the same property across algorithms); the timed closures then
+//! watch the wall-clock side. (c) shows what a live plan costs per message:
+//! one keyed ChaCha draw plus the pre-pass copy.
 //!
 //! Set `FAULT_OVERHEAD_SMOKE=1` to shrink the workload for CI
-//! (compile + one-iteration smoke).
+//! (compile + one-iteration smoke; the equality check runs either way).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use freelunch_graph::generators::{sparse_connected_erdos_renyi, GeneratorConfig};
@@ -41,8 +43,45 @@ fn workload() -> MultiGraph {
     sparse_connected_erdos_renyi(&GeneratorConfig::new(n, 29), 6.0).expect("workload builds")
 }
 
+/// Rounds each network runs before the timed closures start.
+const PREWARM_ROUNDS: u32 = 2;
+
+fn beacon_network(graph: &MultiGraph, plan: FaultPlan) -> Network<Beacon> {
+    let config = NetworkConfig::with_seed(3).sharded(1);
+    Network::with_fault_plan(graph, config, plan, |_, _| Beacon).expect("network builds")
+}
+
+/// Runs no-plan and empty-plan networks for the same rounds, untimed, and
+/// asserts that they end in the same state.
+fn assert_empty_plan_matches_no_plan(graph: &MultiGraph) {
+    let run = |plan: FaultPlan| {
+        let mut network = beacon_network(graph, plan);
+        network
+            .run_rounds(PREWARM_ROUNDS + 3)
+            .expect("check rounds");
+        network
+    };
+    let (none, empty) = (run(FaultPlan::none()), run(FaultPlan::new(7)));
+    assert_eq!(
+        none.ledger(),
+        empty.ledger(),
+        "empty plan changed the ledger"
+    );
+    assert_eq!(
+        none.metrics(),
+        empty.metrics(),
+        "empty plan changed the metrics"
+    );
+    assert_eq!(
+        none.pending_messages(),
+        empty.pending_messages(),
+        "empty plan changed the pending count"
+    );
+}
+
 fn bench_fault_overhead(c: &mut Criterion) {
     let graph = workload();
+    assert_empty_plan_matches_no_plan(&graph);
     let mut group = c.benchmark_group("fault_overhead");
     group.sample_size(if smoke() { 1 } else { 10 });
     let plans: [(&str, FaultPlan); 3] = [
@@ -57,12 +96,10 @@ fn bench_fault_overhead(c: &mut Criterion) {
     ];
     for (name, plan) in plans {
         group.bench_with_input(BenchmarkId::new("plan", name), &plan, |b, plan| {
-            let config = NetworkConfig::with_seed(3).sharded(1);
-            let mut network = Network::with_fault_plan(&graph, config, plan.clone(), |_, _| Beacon)
-                .expect("network builds");
+            let mut network = beacon_network(&graph, plan.clone());
             // Prewarm to steady state so the timed rounds allocate nothing
             // on the clean paths.
-            network.run_rounds(2).expect("prewarm rounds");
+            network.run_rounds(PREWARM_ROUNDS).expect("prewarm rounds");
             b.iter(|| {
                 network.run_round().expect("round runs");
                 network.pending_messages()

@@ -22,10 +22,12 @@
 //!
 //! The stats section is what makes every rank's [`MessageLedger`] and
 //! [`ExecutionMetrics`] **globally identical** (the cross-backend identity
-//! contract of `docs/TRANSPORT.md`): each rank records its own sends
-//! per-message at the barrier, broadcasts per-node send counts, per-edge
-//! `(count, bytes)` aggregates and this round's fault deltas, and applies
-//! every peer's stats through the order-independent bulk recorders:
+//! contract of `docs/TRANSPORT.md`): each rank tallies its own sends per
+//! edge at the barrier in a dense table indexed by edge, charges its ledger
+//! once per touched edge, broadcasts per-node send counts, the per-edge
+//! `(count, bytes)` tally in ascending edge order and this round's fault
+//! deltas, and applies every peer's stats through the order-independent
+//! bulk recorders:
 //!
 //! ```text
 //! stats := [u32 node_entries] ([u32 node] [u64 count])*
@@ -105,10 +107,9 @@
 use super::codec::{CodecError, WireCodec};
 use super::{BarrierOutcome, RecoveryPolicy, RoundBarrier, Transport};
 use crate::error::{RuntimeError, RuntimeResult};
-use crate::metrics::FaultTotals;
+use crate::metrics::{FaultTotals, MessageLedger};
 use crate::node::{Envelope, Outgoing};
 use freelunch_graph::{EdgeId, NodeId};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -320,9 +321,8 @@ pub struct TcpTransport<M> {
     /// Messages addressed to locally owned receivers, held until this
     /// rank's slot in the delivery order comes up.
     local_pending: Vec<Outgoing<M>>,
-    /// Per-edge `(count, bytes)` aggregates of this round's own sends
-    /// (`BTreeMap` so the stats section lists edges in ascending order).
-    edge_stats: BTreeMap<u64, (u64, u64)>,
+    /// Per-edge `(count, bytes)` aggregates of this round's own sends.
+    edge_tally: EdgeTally,
     /// Ledger fault totals as of the previous barrier, for delta encoding.
     prev_faults: FaultTotals,
     /// Peers permanently declared dead under
@@ -818,7 +818,7 @@ impl<M> TcpTransport<M> {
             stats_buf: Vec::new(),
             churn_buf: Vec::new(),
             local_pending: Vec::new(),
-            edge_stats: BTreeMap::new(),
+            edge_tally: EdgeTally::default(),
             prev_faults,
             dead: vec![false; world],
             rejoin_pending: vec![false; world],
@@ -990,6 +990,49 @@ impl<'a> FrameReader<'a> {
     }
 }
 
+/// Per-edge `(count, bytes)` totals of one barrier's own sends, dense by
+/// [`EdgeId::index`], with one bit per slot marking the slots charged since
+/// the last drain, so a drain costs `O(slots / 64 + touched)`.
+#[derive(Default)]
+struct EdgeTally {
+    slots: Vec<(u64, u64)>,
+    touched: Vec<u64>,
+}
+
+impl EdgeTally {
+    /// Grows the tally to `edge_slots` slots (a churn insert can add an edge
+    /// beyond the frozen range between two barriers).
+    fn fit(&mut self, edge_slots: usize) {
+        if self.slots.len() < edge_slots {
+            self.slots.resize(edge_slots, (0, 0));
+            self.touched.resize(edge_slots.div_ceil(64), 0);
+        }
+    }
+
+    /// Charges one message of `bytes` payload bytes to edge slot `slot`.
+    #[inline]
+    fn add(&mut self, slot: usize, bytes: u64) {
+        self.touched[slot / 64] |= 1 << (slot % 64);
+        let (count, sum) = &mut self.slots[slot];
+        *count += 1;
+        *sum += bytes;
+    }
+
+    /// Empties the tally, visiting every charged slot as
+    /// `(slot, count, bytes)` in ascending slot order.
+    fn drain(&mut self, mut visit: impl FnMut(usize, u64, u64)) {
+        for (word_index, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let slot = word_index * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (count, bytes) = std::mem::take(&mut self.slots[slot]);
+                visit(slot, count, bytes);
+            }
+        }
+    }
+}
+
 /// The contiguous node range rank `rank` of `world` owns (the same
 /// `div_ceil` chunking the sharded execute phase uses).
 fn rank_range(rank: usize, world: usize, node_count: usize) -> Range<usize> {
@@ -1000,15 +1043,13 @@ fn rank_range(rank: usize, world: usize, node_count: usize) -> Range<usize> {
 }
 
 impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> TcpTransport<M> {
-    /// Drains the local outboxes: records every send in the ledger
-    /// (sender-side), stages locally addressed messages, encodes remote
-    /// ones into per-peer record buffers, and accumulates the stats
-    /// aggregates. Returns the per-node count entries for the stats
+    /// Drains the local outboxes: tallies every send on its edge, stages
+    /// locally addressed messages, and encodes remote ones into per-peer
+    /// record buffers. Returns the per-node count entries for the stats
     /// section.
     fn stage_local_sends(
         &mut self,
         outboxes: &mut [Vec<Outgoing<M>>],
-        ledger: &mut crate::metrics::MessageLedger,
         chunk: usize,
     ) -> RuntimeResult<Vec<(u32, u64)>> {
         let mut node_counts = Vec::new();
@@ -1018,10 +1059,7 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> TcpTransport<M> {
             }
             node_counts.push((node as u32, outbox.len() as u64));
             for outgoing in outbox.drain(..) {
-                ledger.record(outgoing.edge.index(), outgoing.bytes);
-                let entry = self.edge_stats.entry(outgoing.edge.raw()).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += outgoing.bytes;
+                self.edge_tally.add(outgoing.edge.index(), outgoing.bytes);
                 let dest = outgoing.receiver.index() / chunk;
                 if dest == self.rank {
                     self.local_pending.push(outgoing);
@@ -1050,8 +1088,15 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> TcpTransport<M> {
         Ok(node_counts)
     }
 
-    /// Builds the stats section shared by every peer frame for this round.
-    fn build_stats(&mut self, node_counts: &[(u32, u64)], faults: &FaultTotals) {
+    /// Builds the stats section shared by every peer frame for this round,
+    /// draining the edge tally: each edge entry is charged to the ledger
+    /// with one bulk record as it is written.
+    fn build_stats(
+        &mut self,
+        node_counts: &[(u32, u64)],
+        faults: &FaultTotals,
+        ledger: &mut MessageLedger,
+    ) {
         self.stats_buf.clear();
         let buf = &mut self.stats_buf;
         buf.extend_from_slice(&(node_counts.len() as u32).to_le_bytes());
@@ -1059,12 +1104,17 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> TcpTransport<M> {
             buf.extend_from_slice(&node.to_le_bytes());
             buf.extend_from_slice(&count.to_le_bytes());
         }
-        buf.extend_from_slice(&(self.edge_stats.len() as u32).to_le_bytes());
-        for (&edge, &(count, bytes)) in &self.edge_stats {
-            buf.extend_from_slice(&edge.to_le_bytes());
+        let entries_at = buf.len();
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        let mut edge_entries = 0u32;
+        self.edge_tally.drain(|edge, count, bytes| {
+            ledger.record_bulk(edge, count, bytes);
+            buf.extend_from_slice(&(edge as u64).to_le_bytes());
             buf.extend_from_slice(&count.to_le_bytes());
             buf.extend_from_slice(&bytes.to_le_bytes());
-        }
+            edge_entries += 1;
+        });
+        buf[entries_at..entries_at + 4].copy_from_slice(&edge_entries.to_le_bytes());
         let delta = |now: u64, prev: u64| now - prev;
         buf.extend_from_slice(
             &delta(faults.dropped_random, self.prev_faults.dropped_random).to_le_bytes(),
@@ -1197,9 +1247,12 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         }
         self.frame_counts.fill(0);
         self.local_pending.clear();
-        self.edge_stats.clear();
+        // A barrier that failed while staging left its tally uncharged;
+        // discard it rather than charge it to this round.
+        self.edge_tally.drain(|_, _, _| {});
+        self.edge_tally.fit(ledger.edge_slots());
 
-        let node_counts = self.stage_local_sends(outboxes, ledger, chunk)?;
+        let node_counts = self.stage_local_sends(outboxes, chunk)?;
         // `prev_faults` holds the totals as of the end of the *previous*
         // barrier — i.e. after merging every peer's deltas — so the delta
         // against it covers exactly this rank's own new drops/duplications
@@ -1207,7 +1260,7 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         // would fold the peers' last-round deltas into this rank's next
         // delta and echo them back, double-counting faults forever.
         let fault_totals = ledger.fault_totals();
-        self.build_stats(&node_counts, &fault_totals);
+        self.build_stats(&node_counts, &fault_totals, ledger);
         self.churn_buf.clear();
         for event in churn {
             event.encode(&mut self.churn_buf);
@@ -1217,10 +1270,12 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         let mut recovered_peers = 0usize;
         let mut lost_peers = 0usize;
 
-        // Write every peer's frame first (frames buffer in the kernel), then
-        // read; no read depends on a peer having read ours. Frames are
-        // assembled for every live peer before any write, so a peer that
-        // dies mid-barrier can be re-sent its frame after rejoining.
+        // Write every peer's frame, then read. This needs the kernel to
+        // buffer a whole frame: once frames outgrow the socket buffers, two
+        // ranks block in `write_all` at once until `io_timeout` (the
+        // send/send stall of docs/TRANSPORT.md §5). Frames are assembled
+        // for every live peer before any write, so a peer that dies
+        // mid-barrier can be re-sent its frame after rejoining.
         for peer in 0..self.world {
             if peer != self.rank && !self.dead[peer] {
                 self.build_frame(peer, round, local_sent, halted_local)?;
@@ -1330,7 +1385,16 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
                 )));
             }
             delivered += reader.u64()?;
-            remote_halted += reader.u32()? as usize;
+            let peer_range = rank_range(slot, self.world, node_count);
+            let peer_halted = reader.u32()? as usize;
+            if peer_halted > peer_range.len() {
+                return Err(RuntimeError::transport(format!(
+                    "frame from rank {slot} reports {peer_halted} halted nodes, but that rank \
+                     owns only {}",
+                    peer_range.len()
+                )));
+            }
+            remote_halted += peer_halted;
             let msg_count = reader.u32()?;
             let stats_len = reader.u32()? as usize;
             let churn_count = reader.u32()? as usize;
@@ -1341,9 +1405,10 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
             for _ in 0..node_entries {
                 let node = reader.u32()? as usize;
                 let count = reader.u64()?;
-                if node >= node_count {
+                if !peer_range.contains(&node) {
                     return Err(RuntimeError::transport(format!(
-                        "frame from rank {slot} reports sends for out-of-range node {node}"
+                        "frame from rank {slot} reports sends for node {node}, which that \
+                         rank does not own"
                     )));
                 }
                 metrics.record_sends(node, count);
@@ -1398,7 +1463,6 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
             }
 
             // Message records, already in canonical (node, send) order.
-            let peer_range = rank_range(slot, self.world, node_count);
             for _ in 0..msg_count {
                 let edge = EdgeId::new(reader.u64()?);
                 let sender = NodeId::new(reader.u32()?);
@@ -1416,6 +1480,11 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
                         "frame from rank {slot} addresses node {receiver}, which rank {} \
                          does not own",
                         self.rank
+                    )));
+                }
+                if edge.index() >= ledger.edge_slots() {
+                    return Err(RuntimeError::transport(format!(
+                        "frame from rank {slot} carries a message on out-of-range edge {edge}"
                     )));
                 }
                 let payload = M::decode(payload_bytes).map_err(|e| {
@@ -1452,5 +1521,522 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
 
     fn owned_range(&self, node_count: usize) -> Range<usize> {
         rank_range(self.rank, self.world, node_count)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::fnv1a64;
+    use crate::churn::ChurnPlan;
+    use crate::engine::{Network, NetworkConfig};
+    use crate::fault::FaultPlan;
+    use crate::node::{Context, NodeProgram};
+    use freelunch_graph::generators::{sparse_connected_erdos_renyi, GeneratorConfig};
+
+    /// Binds one loopback listener per rank before any rank connects, so
+    /// the rendezvous has no port race.
+    fn loopback(world: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
+        let listeners: Vec<TcpListener> = (0..world)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let peers = listeners
+            .iter()
+            .map(|listener| listener.local_addr().unwrap())
+            .collect();
+        (listeners, peers)
+    }
+
+    /// Broadcasts a token bundle whose length varies with the node and the
+    /// round, and whose tokens fold in everything the node heard, so the
+    /// frames depend on per-edge byte sums and on mailbox order.
+    struct Chorus {
+        state: u32,
+    }
+
+    impl Chorus {
+        fn sing(&self, ctx: &mut Context<'_, Vec<u32>>) {
+            let len = 1 + (ctx.node().raw() + ctx.round()) % 3;
+            ctx.broadcast((0..len).map(|i| self.state ^ i).collect());
+        }
+    }
+
+    impl NodeProgram for Chorus {
+        type Message = Vec<u32>;
+
+        fn init(&mut self, ctx: &mut Context<'_, Vec<u32>>) {
+            self.sing(ctx);
+        }
+
+        fn round(&mut self, ctx: &mut Context<'_, Vec<u32>>, inbox: &[Envelope<Vec<u32>>]) {
+            for envelope in inbox {
+                for &token in &envelope.payload {
+                    self.state = self.state.rotate_left(5) ^ token;
+                }
+            }
+            self.sing(ctx);
+        }
+
+        fn payload_bytes(message: &Vec<u32>) -> u64 {
+            4 * message.len() as u64
+        }
+    }
+
+    /// Barriers each pinned group runs: initialization plus eight rounds.
+    const PIN_ROUNDS: u32 = 8;
+
+    /// Runs a `world`-rank loopback group under churn (inserts beyond the
+    /// frozen edge slots, deletes) and faults (drops, duplicates, a crash)
+    /// and returns, per rank, the FNV-1a digest of every frame that rank
+    /// wrote, in barrier order and then peer order.
+    fn frame_digests(world: usize) -> Vec<u64> {
+        let graph = sparse_connected_erdos_renyi(&GeneratorConfig::new(40, 17), 4.0).unwrap();
+        let frozen_slots = graph.edge_count();
+        let faults = FaultPlan::new(23)
+            .with_drop_probability(0.1)
+            .with_duplicate_probability(0.1)
+            .with_crash(NodeId::new(7), 4);
+        let churn = ChurnPlan::new(29)
+            .with_insert_rate(0.05)
+            .with_delete_rate(0.02)
+            .with_edge_insert(1, NodeId::new(0), NodeId::new(39));
+        let (listeners, peers) = loopback(world);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(rank, listener)| {
+                    let config = TcpConfig::new(rank, peers.clone());
+                    let (graph, faults, churn) = (&graph, faults.clone(), churn.clone());
+                    scope.spawn(move || {
+                        let transport = TcpTransport::with_listener(listener, &config).unwrap();
+                        let mut network = Network::with_plans(
+                            graph,
+                            NetworkConfig::with_seed(31),
+                            faults,
+                            churn,
+                            transport,
+                            |node, _| Chorus { state: node.raw() },
+                        )
+                        .unwrap();
+                        let mut written = Vec::new();
+                        for barrier in 0..=PIN_ROUNDS {
+                            if barrier == 0 {
+                                network.initialize().unwrap();
+                            } else {
+                                network.run_round().unwrap();
+                            }
+                            for (peer, frame) in network.transport().last_frames.iter().enumerate()
+                            {
+                                if peer != rank {
+                                    written.extend_from_slice(frame);
+                                }
+                            }
+                        }
+                        // The pin is only worth something if the frames
+                        // carried traffic on inserted edges and fault deltas.
+                        let ledger = network.ledger();
+                        assert!(ledger.messages_per_edge()[frozen_slots..]
+                            .iter()
+                            .any(|&count| count > 0));
+                        let faults = ledger.fault_totals();
+                        assert!(faults.dropped_random > 0 && faults.dropped_crash > 0);
+                        assert!(faults.duplicated > 0);
+                        fnv1a64(&written)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap())
+                .collect()
+        })
+    }
+
+    /// The bytes every rank writes are pinned: a change to how frames are
+    /// built must reproduce them exactly, or bump [`VERSION`].
+    #[test]
+    fn frame_bytes_are_pinned() {
+        assert_eq!(VERSION, 2);
+        assert_eq!(
+            frame_digests(2),
+            [0xfea4_f08a_69be_2fb6, 0x40af_9234_0c6f_74b6]
+        );
+        assert_eq!(
+            frame_digests(3),
+            [
+                0x13ae_9ded_cc3c_249d,
+                0xb6da_057f_c2c4_133c,
+                0xfe57_de2a_9f4c_2052
+            ]
+        );
+    }
+
+    /// One message from node 0 on `edge` to `receiver`, charged `bytes`
+    /// (an 8-byte `u64` payload, so any other `bytes` is a codec mismatch).
+    fn outgoing(edge: u64, receiver: u32, bytes: u64) -> Outgoing<u64> {
+        Outgoing {
+            edge: EdgeId::new(edge),
+            sender: NodeId::new(0),
+            receiver: NodeId::new(receiver),
+            bytes,
+            payload: 7,
+        }
+    }
+
+    /// Runs one barrier of a 4-node, 8-edge-slot execution directly on
+    /// `transport`, with `sends` as node 0's outbox.
+    fn barrier(
+        transport: &mut TcpTransport<u64>,
+        sends: Vec<Outgoing<u64>>,
+        ledger: &mut MessageLedger,
+    ) -> RuntimeResult<BarrierOutcome> {
+        let local_sent = sends.len() as u64;
+        let mut outboxes = vec![sends, Vec::new(), Vec::new(), Vec::new()];
+        let mut mailboxes: Vec<Vec<Envelope<u64>>> = (0..4).map(|_| Vec::new()).collect();
+        transport.deliver(RoundBarrier {
+            round: 0,
+            shards: 1,
+            sched: crate::engine::Scheduling::Dynamic,
+            chunk_size: 1,
+            traced: false,
+            local_sent,
+            halted: &[false; 4],
+            outboxes: &mut outboxes,
+            mailboxes: &mut mailboxes,
+            metrics: &mut crate::metrics::ExecutionMetrics::new(4),
+            ledger,
+            trace: &mut crate::trace::Trace::with_capacity(0),
+            churn: &[],
+        })
+    }
+
+    /// A barrier that fails while staging charges none of its sends, and
+    /// its tally does not leak into the next barrier: rank 0 retries the
+    /// barrier after the failure, and both ranks end with the same ledger.
+    #[test]
+    fn a_barrier_that_fails_in_staging_charges_nothing() {
+        let (listeners, peers) = loopback(2);
+        let ledgers: Vec<MessageLedger> = std::thread::scope(|scope| {
+            let handles: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(rank, listener)| {
+                    let config = TcpConfig::new(rank, peers.clone());
+                    scope.spawn(move || {
+                        let mut transport = TcpTransport::with_listener(listener, &config).unwrap();
+                        let mut ledger = MessageLedger::new(8);
+                        if rank == 0 {
+                            // Edge 1 stays local, edge 2 fails the codec check.
+                            let failed = vec![outgoing(1, 1, 8), outgoing(2, 2, 3)];
+                            let error = barrier(&mut transport, failed, &mut ledger).unwrap_err();
+                            assert!(error.to_string().contains("codec/payload_bytes mismatch"));
+                            barrier(&mut transport, vec![outgoing(3, 3, 8)], &mut ledger).unwrap();
+                        } else {
+                            barrier(&mut transport, Vec::new(), &mut ledger).unwrap();
+                        }
+                        ledger
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap())
+                .collect()
+        });
+        assert_eq!(ledgers[0].messages_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(ledgers[0], ledgers[1]);
+    }
+
+    /// Broadcasts its node ID once (8-byte payloads), then halts.
+    struct Beacon;
+
+    impl NodeProgram for Beacon {
+        type Message = u64;
+
+        fn init(&mut self, ctx: &mut Context<'_, u64>) {
+            ctx.broadcast(u64::from(ctx.node().raw()));
+        }
+
+        fn round(&mut self, ctx: &mut Context<'_, u64>, _inbox: &[Envelope<u64>]) {
+            ctx.halt();
+        }
+    }
+
+    /// Node count of the hostile-frame group: rank 0 owns nodes 0..4, rank
+    /// 1 owns 4..8.
+    const HOSTILE_NODES: usize = 8;
+
+    /// The body of a frame from rank 1 for barrier 0, assembled from parts
+    /// so a test can get exactly one of them wrong. `stats_len` defaults to
+    /// the length of the stats section built from `nodes` and `edges`; the
+    /// body carries `churn_count` but no churn events.
+    struct Forged {
+        round: u32,
+        rank: u32,
+        halted: u32,
+        nodes: Vec<(u32, u64)>,
+        edges: Vec<(u64, u64, u64)>,
+        stats_len: Option<u32>,
+        churn_count: u32,
+        msg_count: u32,
+        records: Vec<u8>,
+    }
+
+    impl Forged {
+        /// A well-formed frame: no sends, no halted nodes, no records.
+        fn new() -> Self {
+            Forged {
+                round: 0,
+                rank: 1,
+                halted: 0,
+                nodes: Vec::new(),
+                edges: Vec::new(),
+                stats_len: None,
+                churn_count: 0,
+                msg_count: 0,
+                records: Vec::new(),
+            }
+        }
+
+        fn record(mut self, edge: u64, sender: u32, receiver: u32, payload: &[u8]) -> Self {
+            self.records.extend_from_slice(&edge.to_le_bytes());
+            self.records.extend_from_slice(&sender.to_le_bytes());
+            self.records.extend_from_slice(&receiver.to_le_bytes());
+            self.records
+                .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            self.records.extend_from_slice(payload);
+            self.msg_count += 1;
+            self
+        }
+
+        fn body(&self) -> Vec<u8> {
+            let mut stats = Vec::new();
+            stats.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
+            for &(node, count) in &self.nodes {
+                stats.extend_from_slice(&node.to_le_bytes());
+                stats.extend_from_slice(&count.to_le_bytes());
+            }
+            stats.extend_from_slice(&(self.edges.len() as u32).to_le_bytes());
+            for &(edge, count, bytes) in &self.edges {
+                stats.extend_from_slice(&edge.to_le_bytes());
+                stats.extend_from_slice(&count.to_le_bytes());
+                stats.extend_from_slice(&bytes.to_le_bytes());
+            }
+            stats.extend_from_slice(&[0u8; 32]); // no fault deltas
+            let mut body = Vec::new();
+            body.extend_from_slice(&self.round.to_le_bytes());
+            body.extend_from_slice(&self.rank.to_le_bytes());
+            body.extend_from_slice(&u64::from(self.msg_count).to_le_bytes());
+            body.extend_from_slice(&self.halted.to_le_bytes());
+            body.extend_from_slice(&self.msg_count.to_le_bytes());
+            let stats_len = self.stats_len.unwrap_or(stats.len() as u32);
+            body.extend_from_slice(&stats_len.to_le_bytes());
+            body.extend_from_slice(&self.churn_count.to_le_bytes());
+            body.extend_from_slice(&stats);
+            body.extend_from_slice(&self.records);
+            body
+        }
+
+        fn frame(&self) -> Vec<u8> {
+            framed(self.body())
+        }
+    }
+
+    /// Prefixes `body` with its length.
+    fn framed(body: Vec<u8>) -> Vec<u8> {
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    /// Runs rank 0 of a 2-rank group whose rank 1 is a raw socket: the fake
+    /// completes the handshake, reads rank 0's first frame, answers with
+    /// `frame`, and holds its socket open until rank 0 closes. Returns what
+    /// rank 0's `initialize` (the first barrier) reported.
+    fn answer_first_barrier(frame: Vec<u8>) -> RuntimeResult<()> {
+        let graph =
+            sparse_connected_erdos_renyi(&GeneratorConfig::new(HOSTILE_NODES, 3), 3.0).unwrap();
+        let (mut listeners, peers) = loopback(2);
+        let mut config = TcpConfig::new(0, peers.clone());
+        config.connect_timeout = Duration::from_secs(5);
+        config.io_timeout = Duration::from_millis(500);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut stream = TcpStream::connect(peers[0]).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                write_handshake(&mut stream, 2, 1).unwrap();
+                let mut handshake = [0u8; 16];
+                stream.read_exact(&mut handshake).unwrap();
+                let mut len = [0u8; 4];
+                stream.read_exact(&mut len).unwrap();
+                let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+                stream.read_exact(&mut body).unwrap();
+                stream.write_all(&frame).unwrap();
+                let _ = stream.read_to_end(&mut Vec::new());
+            });
+            let transport = TcpTransport::with_listener(listeners.swap_remove(0), &config)?;
+            let mut network = Network::with_transport(
+                &graph,
+                NetworkConfig::with_seed(5),
+                FaultPlan::none(),
+                transport,
+                |_, _| Beacon,
+            )?;
+            network.initialize()
+        })
+    }
+
+    /// Asserts that rank 0 rejects `frame` with a transport error whose
+    /// reason contains `expected`, without waiting out more than a few
+    /// liveness slices.
+    fn assert_rejected(case: &str, frame: Vec<u8>, expected: &str) {
+        let started = Instant::now();
+        match answer_first_barrier(frame) {
+            Err(RuntimeError::Transport { reason }) => assert!(
+                reason.contains(expected),
+                "{case}: {reason:?} does not mention {expected:?}"
+            ),
+            other => panic!("{case}: expected a transport error, got {other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{case}: took {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_well_formed_forged_frame_is_accepted() {
+        let frame = Forged {
+            nodes: vec![(4, 1)],
+            edges: vec![(0, 1, 8)],
+            ..Forged::new()
+        }
+        .record(0, 4, 0, &7u64.to_le_bytes())
+        .frame();
+        answer_first_barrier(frame).unwrap();
+    }
+
+    #[test]
+    fn malformed_frames_are_rejected() {
+        let truncated = {
+            let mut body = Forged::new().record(0, 4, 0, &[0; 8]).body();
+            body.truncate(body.len() - 3);
+            framed(body)
+        };
+        let trailing = {
+            let mut body = Forged::new().body();
+            body.extend_from_slice(&[0xAB; 3]);
+            framed(body)
+        };
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                "body_len below the fixed part",
+                ((BODY_FIXED - 1) as u32).to_le_bytes().to_vec(),
+                "implausible frame body",
+            ),
+            (
+                "body_len above MAX_BODY",
+                (MAX_BODY + 1).to_le_bytes().to_vec(),
+                "implausible frame body",
+            ),
+            (
+                "wrong round",
+                Forged {
+                    round: 1,
+                    ..Forged::new()
+                }
+                .frame(),
+                "expected round 0 from rank 1, got round 1 from rank 1",
+            ),
+            (
+                "wrong rank",
+                Forged {
+                    rank: 0,
+                    ..Forged::new()
+                }
+                .frame(),
+                "expected round 0 from rank 1, got round 0 from rank 0",
+            ),
+            (
+                "stats_len disagrees with the parse",
+                Forged {
+                    stats_len: Some(4),
+                    ..Forged::new()
+                }
+                .frame(),
+                "stats section is 4 bytes",
+            ),
+            (
+                "a churn event rank 0 did not apply",
+                Forged {
+                    churn_count: 1,
+                    ..Forged::new()
+                }
+                .frame(),
+                "reports 1 churn event(s) this round, this rank applied 0",
+            ),
+            (
+                "edge entry beyond the edge slots",
+                Forged {
+                    edges: vec![(1 << 40, 1, 8)],
+                    ..Forged::new()
+                }
+                .frame(),
+                "out-of-range edge",
+            ),
+            (
+                "record on an edge beyond the edge slots",
+                Forged::new().record(1 << 40, 4, 0, &[0; 8]).frame(),
+                "carries a message on out-of-range edge",
+            ),
+            (
+                "record from a node rank 1 does not own",
+                Forged::new().record(0, 0, 1, &[0; 8]).frame(),
+                "carries a message from node v0",
+            ),
+            (
+                "record to a node rank 0 does not own",
+                Forged::new().record(0, 4, 5, &[0; 8]).frame(),
+                "addresses node v5, which rank 0 does not own",
+            ),
+            ("truncated record", truncated, "truncated"),
+            ("trailing bytes", trailing, "3 trailing bytes"),
+            (
+                "payload that fails to decode",
+                Forged::new().record(0, 4, 0, &[1, 2, 3]).frame(),
+                "failed to decode",
+            ),
+        ];
+        for (case, frame, expected) in cases {
+            assert_rejected(case, frame, expected);
+        }
+    }
+
+    #[test]
+    fn sends_charged_to_nodes_the_peer_does_not_own_are_rejected() {
+        let frame = Forged {
+            nodes: vec![(0, 1)],
+            ..Forged::new()
+        }
+        .frame();
+        assert_rejected(
+            "node entry owned by rank 0",
+            frame,
+            "rank 1 reports sends for node 0",
+        );
+    }
+
+    #[test]
+    fn a_halted_count_above_the_peer_range_is_rejected() {
+        let frame = Forged {
+            halted: 5,
+            ..Forged::new()
+        }
+        .frame();
+        assert_rejected("halted above range", frame, "rank 1 reports 5 halted nodes");
     }
 }
