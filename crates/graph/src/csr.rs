@@ -395,13 +395,22 @@ impl CsrGraph {
     /// This is the one-array-read edge validation used by the runtime's
     /// send path: `table[edge]` answers existence, incidence, and "who is
     /// the receiver" in a single dense access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge has raw ID `u64::MAX`, whose table would need one
+    /// slot more than `usize` can count. `Network` rejects graphs with edge
+    /// IDs that large before it builds the table.
     pub fn endpoint_table(&self) -> Vec<[u32; 2]> {
         let slots = self
             .edges
             .iter()
-            .map(|e| e.id.index() + 1)
+            .map(|e| e.id.index())
             .max()
-            .unwrap_or(0);
+            .map_or(0, |top| {
+                top.checked_add(1)
+                    .expect("edge ID u64::MAX cannot index a dense table")
+            });
         let mut table = vec![[Self::NO_ENDPOINT; 2]; slots];
         for edge in &self.edges {
             table[edge.id.index()] = [edge.u.raw(), edge.v.raw()];

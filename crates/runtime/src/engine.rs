@@ -428,7 +428,8 @@ impl<P: NodeProgram> Network<P> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the graph has no nodes.
+    /// Returns an error if the graph has no nodes, or an edge ID of
+    /// `u32::MAX` or more (per-edge tables are dense up to the largest ID).
     pub fn new(
         graph: &MultiGraph,
         config: NetworkConfig,
@@ -589,6 +590,18 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             )));
         }
         let csr = graph.freeze();
+        // Every per-edge table (endpoint table, ledger, transport tallies,
+        // fault ports) is dense up to the largest edge ID, and a checkpoint
+        // stores the slot count as a `u32`: check before allocating any.
+        if let Some(edge) = csr.edge_ids().max() {
+            if edge.raw() >= u64::from(u32::MAX) {
+                return Err(RuntimeError::invalid_config(format!(
+                    "edge {edge} does not fit the dense per-edge tables \
+                     (edge IDs must be below {})",
+                    u32::MAX
+                )));
+            }
+        }
         let knowledge = initial_knowledge(&csr, config.knowledge, config.log_n_slack);
         let edge_slots = edge_slot_count(csr.edge_ids());
         let edge_endpoints = csr.endpoint_table();

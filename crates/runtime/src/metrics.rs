@@ -8,7 +8,9 @@
 
 use freelunch_graph::EdgeId;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::ops::{Add, AddAssign};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Summary of the cost of one distributed execution (or one phase of it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -146,9 +148,15 @@ impl ExecutionMetrics {
 /// Edge IDs are dense (`0..m`) for every generated graph, but IDs inserted
 /// via `add_edge_with_id` — e.g. the crossing edges surviving cluster
 /// contraction — may be sparse, so per-edge tables are sized by the largest
-/// index actually present rather than by the edge count.
+/// index actually present rather than by the edge count. The count
+/// saturates at `usize::MAX` (edge ID `u64::MAX`), a size no table can
+/// take; `Network` rejects any graph needing more than `u32::MAX` slots.
 pub fn edge_slot_count(edges: impl IntoIterator<Item = EdgeId>) -> usize {
-    edges.into_iter().map(|e| e.index() + 1).max().unwrap_or(0)
+    edges
+        .into_iter()
+        .map(|e| e.index().saturating_add(1))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Why a message injected with a fault was dropped (the attribution recorded
@@ -302,11 +310,12 @@ pub struct MessageLedger {
     /// of the serialized contract.
     #[serde(skip)]
     round_edge_counts: Vec<u64>,
-    /// Scratch: edges touched in the current round slot (reset lazily so a
-    /// round costs `O(messages)`, never `O(m)`). Not part of the serialized
-    /// contract.
+    /// Scratch: one bit per edge slot, set for the edges recorded in the
+    /// current round slot, so [`MessageLedger::start_round`] resets
+    /// `round_edge_counts` in ascending edge order in `O(slots / 64 +
+    /// touched)`. Not part of the serialized contract.
     #[serde(skip)]
-    touched: Vec<usize>,
+    touched: Vec<u64>,
 }
 
 impl Default for MessageLedger {
@@ -319,11 +328,8 @@ impl Default for MessageLedger {
 
 /// Equality covers exactly the serialized contract (per-edge and per-round
 /// counts, bytes, congestion, and the fault-accounting column). The
-/// `#[serde(skip)]` scratch is excluded: the
-/// engine's parallel round barrier discovers the edges touched in a round in
-/// worker order, so the scratch's *insertion order* can differ between a
-/// serial and a sharded dispatch of the same execution even though every
-/// recorded value is bit-identical.
+/// `#[serde(skip)]` scratch is excluded: it only carries the open round
+/// slot's congestion state, and a deserialized ledger has none.
 impl PartialEq for MessageLedger {
     fn eq(&self, other: &Self) -> bool {
         self.messages_per_edge == other.messages_per_edge
@@ -358,7 +364,7 @@ impl MessageLedger {
             dropped_link_cut: 0,
             dropped_crash: 0,
             round_edge_counts: vec![0; edge_slots],
-            touched: Vec::new(),
+            touched: vec![0; edge_slots.div_ceil(64)],
         }
     }
 
@@ -394,16 +400,14 @@ impl MessageLedger {
             dropped_link_cut,
             dropped_crash,
             round_edge_counts: vec![0; edge_slots],
-            touched: Vec::new(),
+            touched: vec![0; edge_slots.div_ceil(64)],
         }
     }
 
     /// Closes the current round slot and opens the next one.
     pub fn start_round(&mut self) {
-        for &edge in &self.touched {
-            self.round_edge_counts[edge] = 0;
-        }
-        self.touched.clear();
+        let round_edge_counts = &mut self.round_edge_counts;
+        drain_bitmap(&mut self.touched, |edge| round_edge_counts[edge] = 0);
         self.messages_per_round.push(0);
         self.bytes_per_round.push(0);
         self.max_edge_messages_per_round.push(0);
@@ -425,10 +429,10 @@ impl MessageLedger {
 
     /// Records `count` messages totalling `payload_bytes` bytes on the edge
     /// with dense index `edge_index` in the current round slot — the bulk
-    /// form used by the engine's parallel round barrier, which accumulates
-    /// per-edge counts on its dispatch workers and merges each edge's
-    /// round total with a single call. Recording `(e, k, b)` leaves the
-    /// ledger in exactly the state `k` single [`MessageLedger::record`]
+    /// form every transport's round barrier uses: it tallies the round's
+    /// messages per edge and charges each touched edge's round total with
+    /// a single call, in ascending edge order. Recording `(e, k, b)` leaves
+    /// the ledger in exactly the state `k` single [`MessageLedger::record`]
     /// calls of `b/k` bytes each would (sums and per-round maxima are
     /// order-independent), which is why a sharded and a serial barrier
     /// produce bit-identical ledgers.
@@ -452,9 +456,7 @@ impl MessageLedger {
             .bytes_per_round
             .last_mut()
             .expect("at least one round slot exists") += payload_bytes;
-        if self.round_edge_counts[edge_index] == 0 {
-            self.touched.push(edge_index);
-        }
+        self.touched[edge_index / 64] |= 1 << (edge_index % 64);
         self.round_edge_counts[edge_index] += count;
         let congestion = self
             .max_edge_messages_per_round
@@ -478,6 +480,7 @@ impl MessageLedger {
             self.messages_per_edge.resize(edge_slots, 0);
             self.bytes_per_edge.resize(edge_slots, 0);
             self.round_edge_counts.resize(edge_slots, 0);
+            self.touched.resize(edge_slots.div_ceil(64), 0);
         }
     }
 
@@ -640,9 +643,117 @@ impl MessageLedger {
     }
 }
 
+/// Clears a touched bitmap (one bit per slot), visiting the index of every
+/// set bit in ascending order.
+fn drain_bitmap<'a>(words: impl IntoIterator<Item = &'a mut u64>, mut visit: impl FnMut(usize)) {
+    for (word_index, word) in words.into_iter().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            visit(word_index * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// One edge's round total in an [`EdgeTally`]. Aligned to its 16 bytes so
+/// both adds of a message land in one cache line.
+#[derive(Default)]
+#[repr(align(16))]
+struct TallySlot {
+    count: AtomicU64,
+    bytes: AtomicU64,
+}
+
+/// Per-edge `(count, bytes)` totals of one round barrier's messages, dense
+/// by [`EdgeId::index`], with one bit per slot marking the slots added to
+/// since the last drain. Every transport charges its barrier to the
+/// [`MessageLedger`] through one: it adds each message as it delivers it,
+/// then drains the tally in ascending edge order with one
+/// [`MessageLedger::record_bulk`] per touched edge, so every edge-indexed
+/// array is walked forward. A drain costs `O(slots / 64 + touched)`.
+///
+/// The slots are atomics so the parallel delivery workers can share the
+/// tally ([`EdgeTally::add_shared`]); the serial paths add through
+/// `get_mut` ([`EdgeTally::add`]) and pay no atomic operation.
+#[derive(Default)]
+pub(crate) struct EdgeTally {
+    slots: Vec<TallySlot>,
+    touched: Vec<AtomicU64>,
+}
+
+impl fmt::Debug for EdgeTally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EdgeTally")
+            .field("slots", &self.slots.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl EdgeTally {
+    /// Grows the tally to `edge_slots` slots (a churn insert can add an edge
+    /// beyond the frozen range between two barriers). New slots are empty.
+    pub(crate) fn fit(&mut self, edge_slots: usize) {
+        if self.slots.len() < edge_slots {
+            self.slots.resize_with(edge_slots, TallySlot::default);
+            self.touched
+                .resize_with(edge_slots.div_ceil(64), AtomicU64::default);
+        }
+    }
+
+    /// Adds one message of `bytes` payload bytes to edge slot `slot`.
+    #[inline]
+    pub(crate) fn add(&mut self, slot: usize, bytes: u64) {
+        *self.touched[slot / 64].get_mut() |= 1 << (slot % 64);
+        let entry = &mut self.slots[slot];
+        *entry.count.get_mut() += 1;
+        *entry.bytes.get_mut() += bytes;
+    }
+
+    /// [`EdgeTally::add`] through a shared reference, for delivery workers
+    /// running side by side. Only the first add of a round to a slot sets
+    /// its touched bit. `Relaxed` suffices: the values publish no other
+    /// data, and the drain runs only after the workers are joined, which
+    /// orders every add before it.
+    #[inline]
+    pub(crate) fn add_shared(&self, slot: usize, bytes: u64) {
+        let entry = &self.slots[slot];
+        if entry.count.fetch_add(1, Ordering::Relaxed) == 0 {
+            self.touched[slot / 64].fetch_or(1 << (slot % 64), Ordering::Relaxed);
+        }
+        entry.bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Empties the tally, visiting every touched slot as
+    /// `(slot, count, bytes)` in ascending slot order.
+    pub(crate) fn drain(&mut self, mut visit: impl FnMut(usize, u64, u64)) {
+        let slots = &mut self.slots;
+        let words = self.touched.iter_mut().map(AtomicU64::get_mut);
+        drain_bitmap(words, |slot| {
+            let entry = &mut slots[slot];
+            let count = std::mem::take(entry.count.get_mut());
+            let bytes = std::mem::take(entry.bytes.get_mut());
+            visit(slot, count, bytes);
+        });
+    }
+
+    /// Empties the tally into `ledger`: one bulk record per touched edge, in
+    /// ascending edge order.
+    pub(crate) fn charge(&mut self, ledger: &mut MessageLedger) {
+        self.drain(|edge, count, bytes| ledger.record_bulk(edge, count, bytes));
+    }
+
+    /// Empties the tally without charging it (a failed barrier's leftovers).
+    pub(crate) fn discard(&mut self) {
+        self.drain(|_, _, _| {});
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn cost_report_compositions() {
@@ -699,6 +810,7 @@ mod tests {
             edge_slot_count([EdgeId::new(0), EdgeId::new(7), EdgeId::new(3)]),
             8
         );
+        assert_eq!(edge_slot_count([EdgeId::new(u64::MAX)]), usize::MAX);
     }
 
     #[test]
@@ -849,6 +961,155 @@ mod tests {
         };
         assert!(short.never_exceeds(&flat));
         assert!(!flat.never_exceeds(&short));
+    }
+
+    /// Drains `tally` into a list of `(slot, count, bytes)` visits.
+    fn drained(tally: &mut EdgeTally) -> Vec<(usize, u64, u64)> {
+        let mut visits = Vec::new();
+        tally.drain(|slot, count, bytes| visits.push((slot, count, bytes)));
+        visits
+    }
+
+    /// The reference drain: every touched slot, ascending, with its totals.
+    fn model_drained(model: &mut BTreeMap<usize, (u64, u64)>) -> Vec<(usize, u64, u64)> {
+        std::mem::take(model)
+            .into_iter()
+            .map(|(slot, (count, bytes))| (slot, count, bytes))
+            .collect()
+    }
+
+    #[test]
+    fn tally_drains_match_an_ordered_map_model() {
+        for seed in 0..40 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut tally = EdgeTally::default();
+            let mut model = BTreeMap::new();
+            let mut slots = rng.gen_range(1..100usize);
+            tally.fit(slots);
+            for _ in 0..2_000 {
+                match rng.gen_range(0..100u32) {
+                    // Grow, as a churn insert does between barriers, often
+                    // across a bitmap word boundary.
+                    0..=2 => {
+                        slots += rng.gen_range(1..150usize);
+                        tally.fit(slots);
+                    }
+                    3..=7 => {
+                        assert_eq!(drained(&mut tally), model_drained(&mut model));
+                        assert!(drained(&mut tally).is_empty(), "a drain empties the tally");
+                    }
+                    _ => {
+                        // Favour the newest slots so grown ranges get used.
+                        let slot = if rng.gen_bool(0.3) {
+                            slots - 1 - rng.gen_range(0..slots.min(70))
+                        } else {
+                            rng.gen_range(0..slots)
+                        };
+                        let bytes = rng.gen_range(0..1_000u64);
+                        tally.add(slot, bytes);
+                        let entry = model.entry(slot).or_insert((0, 0));
+                        entry.0 += 1;
+                        entry.1 += bytes;
+                    }
+                }
+            }
+            assert_eq!(drained(&mut tally), model_drained(&mut model));
+        }
+    }
+
+    #[test]
+    fn shared_adds_from_two_threads_equal_the_serial_sums() {
+        const SLOTS: usize = 1_000;
+        let mut tally = EdgeTally::default();
+        tally.fit(SLOTS);
+        for round in 0..4u64 {
+            // Two overlapping edge ranges, like the two receivers' workers
+            // of the edges between them.
+            let sends: Vec<Vec<(usize, u64)>> = [0..600, 400..SLOTS]
+                .into_iter()
+                .enumerate()
+                .map(|(worker, range)| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(round * 2 + worker as u64);
+                    (0..20_000)
+                        .map(|_| (rng.gen_range(range.clone()), rng.gen_range(0..64u64)))
+                        .collect()
+                })
+                .collect();
+            let mut model = BTreeMap::new();
+            for &(slot, bytes) in sends.iter().flatten() {
+                let entry = model.entry(slot).or_insert((0, 0));
+                entry.0 += 1;
+                entry.1 += bytes;
+            }
+            let shared = &tally;
+            let start = std::sync::Barrier::new(sends.len());
+            std::thread::scope(|scope| {
+                for worker_sends in &sends {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        for &(slot, bytes) in worker_sends {
+                            shared.add_shared(slot, bytes);
+                        }
+                    });
+                }
+            });
+            assert_eq!(drained(&mut tally), model_drained(&mut model));
+        }
+    }
+
+    /// Per-round congestion straight from a list of `(edge, bytes)` records.
+    fn model_congestion(records: &[(usize, u64)]) -> u64 {
+        let mut per_edge = BTreeMap::new();
+        for &(edge, _) in records {
+            *per_edge.entry(edge).or_insert(0) += 1;
+        }
+        per_edge.into_values().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn ledger_congestion_is_independent_of_record_order() {
+        const SLOTS: usize = 300;
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let mut ascending = MessageLedger::new(SLOTS);
+        let mut descending = MessageLedger::new(SLOTS);
+        let mut shuffled = MessageLedger::new(SLOTS);
+        let mut expected = Vec::new();
+        for round in 0..12 {
+            if round > 0 {
+                for ledger in [&mut ascending, &mut descending, &mut shuffled] {
+                    ledger.start_round();
+                }
+            }
+            // Even rounds reuse a few hot edges heavily, odd rounds spread
+            // one message each over many, so a congestion count left over
+            // from the previous round would show.
+            let (edges, messages) = if round % 2 == 0 {
+                (4, 200)
+            } else {
+                (SLOTS, 50)
+            };
+            let mut records: Vec<(usize, u64)> = (0..messages)
+                .map(|_| (rng.gen_range(0..edges), rng.gen_range(0..16u64)))
+                .collect();
+            expected.push(model_congestion(&records));
+            records.sort_unstable();
+            for &(edge, bytes) in &records {
+                ascending.record(edge, bytes);
+            }
+            for &(edge, bytes) in records.iter().rev() {
+                descending.record(edge, bytes);
+            }
+            for i in (1..records.len()).rev() {
+                records.swap(i, rng.gen_range(0..i + 1));
+            }
+            for &(edge, bytes) in &records {
+                shuffled.record(edge, bytes);
+            }
+        }
+        assert_eq!(ascending.max_edge_messages_per_round(), &expected[..]);
+        assert_eq!(descending, ascending);
+        assert_eq!(shuffled, ascending);
     }
 
     #[test]

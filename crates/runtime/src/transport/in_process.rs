@@ -9,10 +9,11 @@
 use super::{BarrierOutcome, RoundBarrier, Transport};
 use crate::engine::Scheduling;
 use crate::error::RuntimeResult;
+use crate::metrics::EdgeTally;
 use crate::node::{Envelope, Outgoing};
-use crate::trace::TraceEvent;
+use crate::trace::{Trace, TraceEvent};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Upper bound on dispatch chunks *per worker* under
@@ -41,34 +42,6 @@ type DeliveryQueue<'a, M> = Vec<
     >,
 >;
 
-/// Reusable scratch of the parallel dispatch barrier: per-edge message and
-/// byte accumulators shared by the receiver-sharded workers (each message
-/// is counted by exactly one worker; an edge can be touched by at most the
-/// two workers owning its endpoints, hence the atomics) plus one touched
-/// list per worker. A worker appends an edge to its touched list exactly
-/// when its `fetch_add` is the first of the round for that edge, so the
-/// lists partition the touched edge set and the barrier can merge and reset
-/// in `O(edges touched)`, never `O(m)`.
-///
-/// Allocated once, on the first parallel dispatch; cleared — not freed — at
-/// every merge.
-#[derive(Debug)]
-struct DispatchScratch {
-    edge_counts: Vec<AtomicU32>,
-    edge_bytes: Vec<AtomicU64>,
-    touched: Vec<Vec<u32>>,
-}
-
-impl DispatchScratch {
-    fn new(edge_slots: usize, shards: usize) -> Self {
-        DispatchScratch {
-            edge_counts: (0..edge_slots).map(|_| AtomicU32::new(0)).collect(),
-            edge_bytes: (0..edge_slots).map(|_| AtomicU64::new(0)).collect(),
-            touched: (0..shards).map(|_| Vec::new()).collect(),
-        }
-    }
-}
-
 /// The in-process delivery backend (the default `Network` transport).
 ///
 /// Serial delivery when single-sharded, traced, or silent; the
@@ -86,7 +59,10 @@ pub struct InProcessTransport<M> {
     /// receiver shard's worker can take a contiguous `&mut` slice of its
     /// column. Only `Vec` headers move between the two layouts.
     bucket_scratch: Vec<Vec<Outgoing<M>>>,
-    scratch: Option<DispatchScratch>,
+    /// The barrier's per-edge totals, charged to the ledger when it closes.
+    /// Sized at the first barrier with sends; drained, not freed, at every
+    /// barrier.
+    tally: EdgeTally,
 }
 
 impl<M> fmt::Debug for InProcessTransport<M> {
@@ -110,30 +86,28 @@ impl<M> InProcessTransport<M> {
         InProcessTransport {
             buckets: Vec::new(),
             bucket_scratch: Vec::new(),
-            scratch: None,
+            tally: EdgeTally::default(),
         }
     }
 
     /// Serial delivery in canonical (sender-major) order; the only path
-    /// that records trace events, because they must appear in that order.
-    /// Outboxes are drained, so payloads move without cloning.
-    fn deliver_serial(&mut self, b: RoundBarrier<'_, M>) {
-        let RoundBarrier {
-            round,
-            traced,
-            outboxes,
-            mailboxes,
-            ledger,
-            trace,
-            ..
-        } = b;
+    /// that records trace events (when given a trace), because they must
+    /// appear in that order. Outboxes are drained, so payloads move without
+    /// cloning.
+    fn deliver_serial(
+        &mut self,
+        round: u32,
+        outboxes: &mut [Vec<Outgoing<M>>],
+        mailboxes: &mut [Vec<Envelope<M>>],
+        mut trace: Option<&mut Trace>,
+    ) {
         for mailbox in mailboxes.iter_mut() {
             mailbox.clear();
         }
         for outbox in outboxes.iter_mut() {
             for outgoing in outbox.drain(..) {
-                ledger.record(outgoing.edge.index(), outgoing.bytes);
-                if traced {
+                self.tally.add(outgoing.edge.index(), outgoing.bytes);
+                if let Some(trace) = trace.as_deref_mut() {
                     trace.record(TraceEvent {
                         round,
                         from: outgoing.sender,
@@ -163,34 +137,16 @@ impl<M: Send + Sync> InProcessTransport<M> {
     ///    order (payloads move, never clone), filling each mailbox in
     ///    exactly the order the serial path produces.
     ///
-    /// Per-edge ledger partials accumulate in the shared atomic scratch
-    /// (sums — order-independent) and are merged into the ledger when the
-    /// barrier closes, in `O(edges touched this round)`. Unlike a naive
-    /// scan-all barrier (every worker reading every outbox), total memory
-    /// traffic is `O(messages)` regardless of the shard count.
-    fn deliver_parallel(&mut self, b: RoundBarrier<'_, M>) {
-        let RoundBarrier {
-            shards,
-            outboxes,
-            mailboxes,
-            ledger,
-            ..
-        } = b;
-        let edge_slots = ledger.edge_slots();
-        let scratch = self
-            .scratch
-            .get_or_insert_with(|| DispatchScratch::new(edge_slots, shards));
-        // A churn plan can grow the ledger's edge-slot range after the
-        // scratch was first sized (edge inserts); grow the accumulators to
-        // match. New slots start at zero, like the originals.
-        if scratch.edge_counts.len() < edge_slots {
-            scratch
-                .edge_counts
-                .resize_with(edge_slots, || AtomicU32::new(0));
-            scratch
-                .edge_bytes
-                .resize_with(edge_slots, || AtomicU64::new(0));
-        }
+    /// The delivery workers add every message to the shared tally (sums —
+    /// order-independent). Unlike a naive scan-all barrier (every worker
+    /// reading every outbox), total memory traffic is `O(messages)`
+    /// regardless of the shard count.
+    fn deliver_parallel(
+        &mut self,
+        shards: usize,
+        outboxes: &mut [Vec<Outgoing<M>>],
+        mailboxes: &mut [Vec<Envelope<M>>],
+    ) {
         if self.buckets.len() != shards * shards {
             self.buckets.clear();
             self.buckets.resize_with(shards * shards, Vec::new);
@@ -227,14 +183,12 @@ impl<M: Send + Sync> InProcessTransport<M> {
         }
 
         // Deliver: receiver-sharded workers drain their columns.
-        let edge_counts = &scratch.edge_counts;
-        let edge_bytes = &scratch.edge_bytes;
+        let tally = &self.tally;
         std::thread::scope(|scope| {
-            for (((shard, mailboxes), column), touched) in mailboxes
+            for ((shard, mailboxes), column) in mailboxes
                 .chunks_mut(chunk)
                 .enumerate()
                 .zip(self.bucket_scratch.chunks_mut(shards))
-                .zip(scratch.touched.iter_mut())
             {
                 let lo = shard * chunk;
                 scope.spawn(move || {
@@ -243,14 +197,7 @@ impl<M: Send + Sync> InProcessTransport<M> {
                     }
                     for bucket in column {
                         for outgoing in bucket.drain(..) {
-                            let edge = outgoing.edge.index();
-                            // First toucher of the round claims the edge for
-                            // its merge list; the lists partition the
-                            // touched set.
-                            if edge_counts[edge].fetch_add(1, Ordering::Relaxed) == 0 {
-                                touched.push(edge as u32);
-                            }
-                            edge_bytes[edge].fetch_add(outgoing.bytes, Ordering::Relaxed);
+                            tally.add_shared(outgoing.edge.index(), outgoing.bytes);
                             mailboxes[outgoing.receiver.index() - lo].push(Envelope {
                                 edge: outgoing.edge,
                                 from: outgoing.sender,
@@ -270,19 +217,6 @@ impl<M: Send + Sync> InProcessTransport<M> {
                     &mut self.bucket_scratch[receiver_shard * shards + sender_shard],
                 );
             }
-        }
-        // Merge the partials in canonical shard order. Each touched edge
-        // appears in exactly one list and its accumulators hold the full
-        // round totals by now, so one `record_bulk` per edge reproduces the
-        // serial ledger bit for bit.
-        for touched in scratch.touched.iter_mut() {
-            for &edge in touched.iter() {
-                let edge = edge as usize;
-                let count = u64::from(edge_counts[edge].swap(0, Ordering::Relaxed));
-                let bytes = edge_bytes[edge].swap(0, Ordering::Relaxed);
-                ledger.record_bulk(edge, count, bytes);
-            }
-            touched.clear();
         }
     }
 
@@ -307,35 +241,21 @@ impl<M: Send + Sync> InProcessTransport<M> {
     ///   mailboxes, so receiver-side writes stay inside an L2-sized window
     ///   instead of striding the whole mailbox array.
     ///
-    /// Ledger partials use the same order-independent atomic scratch as the
-    /// static path (one touched list per worker), so the merged ledger is
-    /// bit-identical to the serial one whichever worker claimed what.
-    fn deliver_parallel_dynamic(&mut self, b: RoundBarrier<'_, M>) {
-        let RoundBarrier {
-            shards,
-            chunk_size,
-            outboxes,
-            mailboxes,
-            ledger,
-            ..
-        } = b;
+    /// The workers add to the same shared tally as the static path, so the
+    /// charged ledger is bit-identical to the serial one whichever worker
+    /// claimed what.
+    fn deliver_parallel_dynamic(
+        &mut self,
+        shards: usize,
+        chunk_size: usize,
+        outboxes: &mut [Vec<Outgoing<M>>],
+        mailboxes: &mut [Vec<Envelope<M>>],
+    ) {
         let node_count = mailboxes.len();
         let chunk = chunk_size
             .max(node_count.div_ceil(shards * DISPATCH_CHUNKS_PER_WORKER))
             .max(1);
         let cols = node_count.div_ceil(chunk);
-        let edge_slots = ledger.edge_slots();
-        let scratch = self
-            .scratch
-            .get_or_insert_with(|| DispatchScratch::new(edge_slots, shards));
-        if scratch.edge_counts.len() < edge_slots {
-            scratch
-                .edge_counts
-                .resize_with(edge_slots, || AtomicU32::new(0));
-            scratch
-                .edge_bytes
-                .resize_with(edge_slots, || AtomicU64::new(0));
-        }
         if self.buckets.len() != cols * cols {
             self.buckets.clear();
             self.buckets.resize_with(cols * cols, Vec::new);
@@ -385,8 +305,7 @@ impl<M: Send + Sync> InProcessTransport<M> {
 
         // Deliver: claim receiver chunks; each column drains in ascending
         // sender-chunk order.
-        let edge_counts = &scratch.edge_counts;
-        let edge_bytes = &scratch.edge_bytes;
+        let tally = &self.tally;
         let delivery_chunks: DeliveryQueue<'_, M> = mailboxes
             .chunks_mut(chunk)
             .zip(self.bucket_scratch.chunks_mut(cols))
@@ -395,7 +314,7 @@ impl<M: Send + Sync> InProcessTransport<M> {
             .collect();
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for touched in scratch.touched.iter_mut().take(workers) {
+            for _ in 0..workers {
                 let cursor = &cursor;
                 let delivery_chunks = &delivery_chunks;
                 scope.spawn(move || loop {
@@ -413,14 +332,7 @@ impl<M: Send + Sync> InProcessTransport<M> {
                     }
                     for bucket in column {
                         for outgoing in bucket.drain(..) {
-                            let edge = outgoing.edge.index();
-                            // First toucher of the round claims the edge for
-                            // its merge list; the lists partition the
-                            // touched set.
-                            if edge_counts[edge].fetch_add(1, Ordering::Relaxed) == 0 {
-                                touched.push(edge as u32);
-                            }
-                            edge_bytes[edge].fetch_add(outgoing.bytes, Ordering::Relaxed);
+                            tally.add_shared(outgoing.edge.index(), outgoing.bytes);
                             mailboxes[outgoing.receiver.index() - lo].push(Envelope {
                                 edge: outgoing.edge,
                                 from: outgoing.sender,
@@ -432,36 +344,36 @@ impl<M: Send + Sync> InProcessTransport<M> {
             }
         });
 
-        // Back to row-major for the next round's route step, then merge the
-        // partials exactly like the static path (order-independent sums).
+        // Back to row-major for the next round's route step.
         for sender in 0..cols {
             for receiver in 0..cols {
                 self.buckets[sender * cols + receiver] =
                     std::mem::take(&mut self.bucket_scratch[receiver * cols + sender]);
             }
         }
-        for touched in scratch.touched.iter_mut() {
-            for &edge in touched.iter() {
-                let edge = edge as usize;
-                let count = u64::from(edge_counts[edge].swap(0, Ordering::Relaxed));
-                let bytes = edge_bytes[edge].swap(0, Ordering::Relaxed);
-                ledger.record_bulk(edge, count, bytes);
-            }
-            touched.clear();
-        }
     }
 }
 
 impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
-    fn deliver(&mut self, barrier: RoundBarrier<'_, M>) -> RuntimeResult<BarrierOutcome> {
-        let local_sent = barrier.local_sent;
-        if barrier.shards == 1 || barrier.traced || local_sent == 0 {
-            self.deliver_serial(barrier);
-        } else if barrier.sched == Scheduling::Static {
-            self.deliver_parallel(barrier);
-        } else {
-            self.deliver_parallel_dynamic(barrier);
+    fn deliver(&mut self, b: RoundBarrier<'_, M>) -> RuntimeResult<BarrierOutcome> {
+        if b.local_sent > 0 {
+            // Every barrier with sends, because a churn insert can grow the
+            // edge range; a send-less one (often initialization) allocates
+            // nothing.
+            self.tally.fit(b.ledger.edge_slots());
         }
-        Ok(BarrierOutcome::local(local_sent))
+        if b.shards == 1 || b.traced || b.local_sent == 0 {
+            let trace = b.traced.then_some(b.trace);
+            self.deliver_serial(b.round, b.outboxes, b.mailboxes, trace);
+        } else if b.sched == Scheduling::Static {
+            self.deliver_parallel(b.shards, b.outboxes, b.mailboxes);
+        } else {
+            self.deliver_parallel_dynamic(b.shards, b.chunk_size, b.outboxes, b.mailboxes);
+        }
+        // Every touched edge's round total is complete now: one bulk record
+        // per edge, in ascending edge order, reproduces the per-message
+        // ledger bit for bit.
+        self.tally.charge(b.ledger);
+        Ok(BarrierOutcome::local(b.local_sent))
     }
 }

@@ -17,10 +17,15 @@
 //! transport sees the messages — `tests/fault_matrix.rs` proves the fault
 //! plane is transport-independent by running the same plans over this
 //! backend.
+//!
+//! Like every backend, the mock charges the ledger only when a barrier
+//! succeeds: a barrier that fails (a codec/`payload_bytes` mismatch, a frame
+//! that no longer decodes) charges none of its sends.
 
 use super::codec::WireCodec;
 use super::{BarrierOutcome, RoundBarrier, Transport};
 use crate::error::{RuntimeError, RuntimeResult};
+use crate::metrics::EdgeTally;
 use crate::node::Envelope;
 use crate::trace::TraceEvent;
 use freelunch_graph::{EdgeId, NodeId};
@@ -93,6 +98,9 @@ pub struct MockTransport {
     frames_delayed: u64,
     frames_corrupted: u64,
     scratch: Vec<u8>,
+    /// This barrier's sends per edge, charged to the ledger only once the
+    /// barrier has succeeded.
+    tally: EdgeTally,
 }
 
 impl MockTransport {
@@ -175,6 +183,10 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
         for mailbox in mailboxes.iter_mut() {
             mailbox.clear();
         }
+        // A barrier that failed left its tally uncharged; discard it rather
+        // than charge it to this round.
+        self.tally.discard();
+        self.tally.fit(ledger.edge_slots());
         // Release frames whose delay expired, before this round's fresh
         // traffic, in original send order. Their ledger/trace entries were
         // made when they were sent.
@@ -211,7 +223,7 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
                     )));
                 }
                 // Sender-side accounting, identical to the in-process path.
-                ledger.record(outgoing.edge.index(), outgoing.bytes);
+                self.tally.add(outgoing.edge.index(), outgoing.bytes);
                 if traced {
                     trace.record(TraceEvent {
                         round,
@@ -273,6 +285,105 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
                 });
             }
         }
+        self.tally.charge(ledger);
         Ok(BarrierOutcome::local(local_sent))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::{ExecutionMetrics, MessageLedger};
+    use crate::node::Outgoing;
+    use crate::transport::codec::CodecError;
+
+    /// A one-byte payload whose codec rejects odd bytes, so a corrupted
+    /// frame (lowest bit flipped) fails to decode.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Even(u8);
+
+    impl WireCodec for Even {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.push(self.0);
+        }
+
+        fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+            let byte = u8::decode(bytes)?;
+            if byte % 2 == 0 {
+                Ok(Even(byte))
+            } else {
+                Err(CodecError::InvalidTag { tag: byte })
+            }
+        }
+    }
+
+    /// One message from node 0 on `edge` to `receiver`, charged `bytes`.
+    fn outgoing<M>(edge: u64, receiver: u32, bytes: u64, payload: M) -> Outgoing<M> {
+        Outgoing {
+            edge: EdgeId::new(edge),
+            sender: NodeId::new(0),
+            receiver: NodeId::new(receiver),
+            bytes,
+            payload,
+        }
+    }
+
+    /// Runs one barrier of a 4-node, 8-edge-slot execution directly on
+    /// `mock`, with `sends` as node 0's outbox.
+    fn barrier<M: WireCodec + Send + Sync + Clone + std::fmt::Debug>(
+        mock: &mut MockTransport,
+        sends: Vec<Outgoing<M>>,
+        ledger: &mut MessageLedger,
+    ) -> RuntimeResult<BarrierOutcome> {
+        let local_sent = sends.len() as u64;
+        let mut outboxes = vec![sends, Vec::new(), Vec::new(), Vec::new()];
+        let mut mailboxes: Vec<Vec<Envelope<M>>> = (0..4).map(|_| Vec::new()).collect();
+        mock.deliver(RoundBarrier {
+            round: 0,
+            shards: 1,
+            sched: crate::engine::Scheduling::Dynamic,
+            chunk_size: 1,
+            traced: false,
+            local_sent,
+            halted: &[false; 4],
+            outboxes: &mut outboxes,
+            mailboxes: &mut mailboxes,
+            metrics: &mut ExecutionMetrics::new(4),
+            ledger,
+            trace: &mut crate::trace::Trace::with_capacity(0),
+            churn: &[],
+        })
+    }
+
+    /// A barrier that fails on a codec/`payload_bytes` mismatch charges
+    /// none of its sends, and its tally does not leak into the next one.
+    #[test]
+    fn a_barrier_that_fails_in_staging_charges_nothing() {
+        let mut mock = MockTransport::new();
+        let mut ledger = MessageLedger::new(8);
+        // Edge 1 passes the codec check, edge 2 fails it (a u64 is 8 bytes).
+        let failed = vec![outgoing(1, 1, 8, 7u64), outgoing(2, 2, 3, 7u64)];
+        let error = barrier(&mut mock, failed, &mut ledger).unwrap_err();
+        assert!(error.to_string().contains("codec/payload_bytes mismatch"));
+        assert_eq!(ledger.total_messages(), 0);
+        barrier(&mut mock, vec![outgoing(3, 3, 8, 7u64)], &mut ledger).unwrap();
+        assert_eq!(ledger.messages_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);
+    }
+
+    /// A barrier that fails because a corrupted frame no longer decodes
+    /// charges nothing either, the corrupted send included.
+    #[test]
+    fn a_barrier_that_fails_to_decode_charges_nothing() {
+        let mut mock =
+            MockTransport::new().with_disturbance(Disturbance::CorruptEveryNth { nth: 2 });
+        let mut ledger = MessageLedger::new(8);
+        let failed = vec![outgoing(1, 1, 1, Even(2)), outgoing(2, 2, 1, Even(4))];
+        let error = barrier(&mut mock, failed, &mut ledger).unwrap_err();
+        assert!(error.to_string().contains("failed to decode"));
+        assert_eq!(mock.frames_corrupted(), 1);
+        assert_eq!(ledger.total_messages(), 0);
+        barrier(&mut mock, vec![outgoing(3, 3, 1, Even(6))], &mut ledger).unwrap();
+        assert_eq!(ledger.messages_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(ledger.bytes_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);
     }
 }

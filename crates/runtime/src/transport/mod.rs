@@ -57,9 +57,12 @@ use std::ops::Range;
 /// * move every outbox message into `mailboxes[receiver]`, filling each
 ///   mailbox in ascending sender order (per sender, in send order) — the
 ///   canonical order the serial engine produces;
-/// * record every locally sent message into `ledger` (sender-side: a
-///   message is recorded by the rank that sent it, once, with its
-///   [`Outgoing::bytes`] size);
+/// * charge every locally sent message to `ledger` (sender-side: a
+///   message is charged by the rank that sent it, once, with its
+///   [`Outgoing::bytes`] size). Backends tally the round per edge and
+///   charge each touched edge with one
+///   [`MessageLedger::record_bulk`], in ascending edge order, when the
+///   barrier succeeds; a barrier that fails charges nothing;
 /// * when `traced`, record a [`TraceEvent`](crate::trace::TraceEvent) per
 ///   message in canonical send order (only backends whose
 ///   [`Transport::supports_tracing`] returns `true` see `traced == true`).

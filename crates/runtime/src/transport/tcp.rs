@@ -107,7 +107,7 @@
 use super::codec::{CodecError, WireCodec};
 use super::{BarrierOutcome, RecoveryPolicy, RoundBarrier, Transport};
 use crate::error::{RuntimeError, RuntimeResult};
-use crate::metrics::{FaultTotals, MessageLedger};
+use crate::metrics::{EdgeTally, FaultTotals, MessageLedger};
 use crate::node::{Envelope, Outgoing};
 use freelunch_graph::{EdgeId, NodeId};
 use std::fmt;
@@ -990,49 +990,6 @@ impl<'a> FrameReader<'a> {
     }
 }
 
-/// Per-edge `(count, bytes)` totals of one barrier's own sends, dense by
-/// [`EdgeId::index`], with one bit per slot marking the slots charged since
-/// the last drain, so a drain costs `O(slots / 64 + touched)`.
-#[derive(Default)]
-struct EdgeTally {
-    slots: Vec<(u64, u64)>,
-    touched: Vec<u64>,
-}
-
-impl EdgeTally {
-    /// Grows the tally to `edge_slots` slots (a churn insert can add an edge
-    /// beyond the frozen range between two barriers).
-    fn fit(&mut self, edge_slots: usize) {
-        if self.slots.len() < edge_slots {
-            self.slots.resize(edge_slots, (0, 0));
-            self.touched.resize(edge_slots.div_ceil(64), 0);
-        }
-    }
-
-    /// Charges one message of `bytes` payload bytes to edge slot `slot`.
-    #[inline]
-    fn add(&mut self, slot: usize, bytes: u64) {
-        self.touched[slot / 64] |= 1 << (slot % 64);
-        let (count, sum) = &mut self.slots[slot];
-        *count += 1;
-        *sum += bytes;
-    }
-
-    /// Empties the tally, visiting every charged slot as
-    /// `(slot, count, bytes)` in ascending slot order.
-    fn drain(&mut self, mut visit: impl FnMut(usize, u64, u64)) {
-        for (word_index, word) in self.touched.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let slot = word_index * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (count, bytes) = std::mem::take(&mut self.slots[slot]);
-                visit(slot, count, bytes);
-            }
-        }
-    }
-}
-
 /// The contiguous node range rank `rank` of `world` owns (the same
 /// `div_ceil` chunking the sharded execute phase uses).
 fn rank_range(rank: usize, world: usize, node_count: usize) -> Range<usize> {
@@ -1249,7 +1206,7 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         self.local_pending.clear();
         // A barrier that failed while staging left its tally uncharged;
         // discard it rather than charge it to this round.
-        self.edge_tally.drain(|_, _, _| {});
+        self.edge_tally.discard();
         self.edge_tally.fit(ledger.edge_slots());
 
         let node_counts = self.stage_local_sends(outboxes, chunk)?;

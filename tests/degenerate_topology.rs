@@ -9,7 +9,7 @@
 //! constructor, never panic downstream.
 
 use freelunch::graph::generators::{path_graph, star_graph, GeneratorConfig};
-use freelunch::graph::{MultiGraph, NodeId};
+use freelunch::graph::{EdgeId, MultiGraph, NodeId};
 use freelunch::runtime::transport::{MockTransport, TcpConfig, TcpTransport};
 use freelunch::runtime::{
     Context, Envelope, ExecutionMetrics, FaultPlan, MessageLedger, Network, NetworkConfig,
@@ -111,6 +111,43 @@ fn zero_node_graph_is_rejected_not_panicked() {
         mock.unwrap_err(),
         RuntimeError::InvalidConfig { .. }
     ));
+}
+
+#[test]
+fn edge_ids_beyond_the_dense_tables_are_rejected_not_panicked() {
+    let graph_with_edge = |id: u64| {
+        let mut graph = MultiGraph::new(2);
+        graph
+            .add_edge_with_id(EdgeId::new(id), NodeId::new(0), NodeId::new(1))
+            .unwrap();
+        graph
+    };
+    for id in [u64::MAX, 1 << 32] {
+        let graph = graph_with_edge(id);
+        let in_process = Network::new(&graph, NetworkConfig::default(), pulse);
+        let message = in_process.unwrap_err().to_string();
+        assert!(
+            message.contains(&EdgeId::new(id).to_string()),
+            "the error names the edge: {message}"
+        );
+        let mock = Network::with_transport(
+            &graph,
+            NetworkConfig::default().sharded(2),
+            FaultPlan::none(),
+            MockTransport::new(),
+            pulse,
+        );
+        assert!(matches!(
+            mock.unwrap_err(),
+            RuntimeError::InvalidConfig { .. }
+        ));
+    }
+    // A sparse ID well inside the range still builds and runs.
+    let graph = graph_with_edge(1 << 20);
+    let mut network = Network::new(&graph, NetworkConfig::default().sharded(2), pulse).unwrap();
+    network.run_until_halt(10).unwrap();
+    assert_eq!(network.ledger().edge_slots(), (1 << 20) + 1);
+    assert_eq!(network.ledger().messages_per_edge()[1 << 20], 6);
 }
 
 #[test]
