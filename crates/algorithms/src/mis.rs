@@ -135,7 +135,7 @@ impl NodeProgram for LubyMis {
         }
         if neighbor_joined {
             self.state = MisState::OutOfSet;
-            for port in self.active_ports.clone() {
+            for &port in &self.active_ports {
                 ctx.send_port(port, MisMessage::Retired);
             }
             ctx.halt();
@@ -153,7 +153,7 @@ impl NodeProgram for LubyMis {
                 ctx.halt();
                 return;
             }
-            for port in self.active_ports.clone() {
+            for &port in &self.active_ports {
                 ctx.send_port(port, MisMessage::Priority(self.my_priority));
             }
         } else if ctx.round() > 1 {
@@ -163,7 +163,7 @@ impl NodeProgram for LubyMis {
             };
             if wins {
                 self.state = MisState::InSet;
-                for port in self.active_ports.clone() {
+                for &port in &self.active_ports {
                     ctx.send_port(port, MisMessage::Joined);
                 }
                 ctx.halt();

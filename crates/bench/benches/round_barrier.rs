@@ -4,8 +4,8 @@
 //!
 //! The measured program broadcasts one fixed `u64` per incident edge per
 //! round and does nothing else, so each timed iteration is one round of the
-//! double-buffered barrier in steady state (the network is prewarmed: all
-//! mailbox, outbox and bucket capacity is already grown, making the
+//! barrier in steady state (the network is prewarmed: every mailbox is
+//! already sized and all outbox and bucket capacity is grown, making the
 //! zero-allocation round path the thing on the clock). A regression in the
 //! barrier shows up here even when the `exp_scaling` end-to-end numbers are
 //! masked by program cost.

@@ -1,5 +1,5 @@
 //! Criterion bench comparing the per-round cost of the three transport
-//! backends on the same broadcast workload: the in-process double-buffered
+//! backends on the same broadcast workload: the in-process mailbox-plane
 //! barrier, the wire-faithful mock (every payload encoded and decoded), and
 //! a two-rank TCP pair over localhost (one frame per peer per round).
 //!

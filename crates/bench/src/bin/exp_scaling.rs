@@ -14,7 +14,7 @@
 //! Methodology: every configuration is executed `REPS` times in the same
 //! process and the *minimum* wall time is recorded. The first execution of
 //! a configuration pays one-time costs (page faults on fresh buffers,
-//! allocator growth) that the double-buffered message plane amortizes away
+//! the first sizing of every mailbox) that the reused message plane avoids
 //! in steady state; the minimum is the stable steady-state figure and is
 //! far less sensitive to neighbor noise on shared machines. Identity across
 //! shard counts is asserted on every repetition, not just the recorded one.

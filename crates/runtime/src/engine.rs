@@ -8,12 +8,13 @@
 //!
 //! # The message plane
 //!
-//! Messages live in flat, **double-buffered per-node mailboxes**: the front
-//! buffer holds the inboxes the programs read this round, the back buffer
-//! collects the messages they send. At the start of each round the two are
-//! swapped and the (now stale) back buffer is cleared — never reallocated —
-//! so in steady state a round performs **no per-message allocation**:
-//! outboxes, inboxes and metrics scratch are all reused across rounds.
+//! Messages live in **one plane of per-node mailboxes**: the programs read
+//! their inboxes from it during the execute phase, and only then does the
+//! round barrier clear it and refill it with the messages they sent. The
+//! barrier counts each receiver's incoming messages first, so a mailbox is
+//! allocated once, at its exact size, and later rounds reuse it — in
+//! steady state a round performs **no per-message allocation**: outboxes,
+//! mailboxes and metrics scratch are all reused across rounds.
 //! Sends are resolved when the program makes them ([`Context::send_port`]
 //! reads the receiver straight off the node's packed CSR incidence slice;
 //! [`Context::send`] validates with one dense array read), so the barrier
@@ -36,11 +37,13 @@
 //! * the *dispatch* phase delivers at the round barrier with
 //!   **receiver-chunked workers**: a route step buckets the canonical
 //!   node-ordered outboxes into a (sender chunk × receiver chunk) grid,
-//!   then workers claim receiver chunks and drain their bucket columns in
-//!   ascending sender-chunk order, accumulating per-edge ledger partials
-//!   as they go; the partials are merged into the [`MessageLedger`] when
-//!   the barrier closes. Each receiver's mailbox is filled in ascending
-//!   sender order (and, per sender, in send order): the exact order the
+//!   then workers claim receiver chunks, size each cleared mailbox from a
+//!   count of its bucket column, and drain the column in ascending
+//!   sender-chunk order, accumulating per-edge ledger partials as they
+//!   go; the partials are merged into the [`MessageLedger`] when the
+//!   barrier closes. Under [`Scheduling::Static`] the grid has one chunk
+//!   per shard. Each receiver's mailbox is filled in ascending sender
+//!   order (and, per sender, in send order): the exact order the
 //!   sequential engine produces.
 //!
 //! Work-stealing changes only *which worker* steps a node, and that is
@@ -66,7 +69,7 @@
 //! # Pluggable transports
 //!
 //! The barrier's delivery step is a [`Transport`]: the default
-//! [`InProcessTransport`] is the zero-allocation double-buffered plane
+//! [`InProcessTransport`] fills the zero-allocation mailbox plane
 //! described above, [`TcpTransport`](crate::transport::TcpTransport) runs
 //! the same execution across processes, and
 //! [`MockTransport`](crate::transport::MockTransport) is a wire-faithful
@@ -359,12 +362,11 @@ pub struct Network<
     programs: Vec<P>,
     rngs: Vec<ChaCha8Rng>,
     halted: Vec<bool>,
-    /// Front mailbox buffer: the inboxes the programs read this round.
-    inboxes: Vec<Vec<Envelope<P::Message>>>,
-    /// Back mailbox buffer: the messages dispatched this round, delivered
-    /// next round by swapping with `inboxes`. Both buffers (and their
-    /// per-node capacity) are reused for the whole execution.
-    pending: Vec<Vec<Envelope<P::Message>>>,
+    /// The mailbox plane: `mailboxes[v]` holds the messages delivered to
+    /// `v` at the last barrier. Programs read it during the execute phase,
+    /// and the next barrier clears and refills it only after every program
+    /// has read. Each mailbox keeps its capacity for the whole execution.
+    mailboxes: Vec<Vec<Envelope<P::Message>>>,
     /// Per-node outboxes, written by the execute phase and drained by the
     /// dispatch phase; reused across rounds.
     outboxes: Vec<Vec<Outgoing<P::Message>>>,
@@ -665,8 +667,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             programs,
             rngs,
             halted: vec![false; node_count],
-            inboxes: (0..node_count).map(|_| Vec::new()).collect(),
-            pending: (0..node_count).map(|_| Vec::new()).collect(),
+            mailboxes: (0..node_count).map(|_| Vec::new()).collect(),
             outboxes: (0..node_count).map(|_| Vec::new()).collect(),
             transport,
             owned,
@@ -869,7 +870,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         let csr = &self.csr;
         let knowledge = &self.knowledge;
         let edge_endpoints = &self.edge_endpoints;
-        let inboxes = &self.inboxes;
+        let mailboxes = &self.mailboxes;
         let faults = self.faults.as_ref();
         let port_silence = &self.port_silence;
         let overlay = self.churn.as_ref().map(ChurnDriver::overlay);
@@ -916,7 +917,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             );
             match phase {
                 Phase::Init => program.init(&mut ctx),
-                Phase::Round => program.round(&mut ctx, &inboxes[index]),
+                Phase::Round => program.round(&mut ctx, &mailboxes[index]),
             }
             if ctx.halted {
                 *halted = true;
@@ -1089,7 +1090,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     /// Dispatch phase: the round barrier. Applies the fault plan's message
     /// faults (a no-op without one), counts every surviving outbox into the
     /// metrics (sender-side, canonical node order), then hands the outboxes
-    /// to the [`Transport`] to deliver into the back mailbox buffer, and
+    /// to the [`Transport`] to clear and refill the mailbox plane, and
     /// finally applies the plan's delivery perturbation. All sends were
     /// validated at send time, so on the in-process backend this phase
     /// cannot fail; wire backends can surface transport errors.
@@ -1106,16 +1107,21 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
 
         let shards = self.shard_count();
         let traced = self.config.trace_mode == TraceMode::Full;
+        // The static partition is the chunked barrier with one chunk per
+        // shard (docs/PERF.md §2).
+        let chunk_size = match self.config.sched {
+            Scheduling::Static => self.owned.len().div_ceil(shards),
+            Scheduling::Dynamic => self.config.chunk_size,
+        };
         let outcome = self.transport.deliver(RoundBarrier {
             round,
             shards,
-            sched: self.config.sched,
-            chunk_size: self.config.chunk_size,
+            chunk_size,
             traced,
             local_sent: round_total,
             halted: &self.halted,
             outboxes: &mut self.outboxes,
-            mailboxes: &mut self.pending,
+            mailboxes: &mut self.mailboxes,
             metrics: &mut self.metrics,
             ledger: &mut self.ledger,
             trace: &mut self.trace,
@@ -1187,7 +1193,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         if !faults.perturbs() {
             return;
         }
-        for (receiver, mailbox) in self.pending.iter_mut().enumerate() {
+        for (receiver, mailbox) in self.mailboxes.iter_mut().enumerate() {
             faults
                 .plan()
                 .perturb_mailbox(round, NodeId::from_usize(receiver), mailbox);
@@ -1210,7 +1216,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 *counter = counter.saturating_add(1);
             }
             let me = v as u32;
-            for envelope in &self.inboxes[v] {
+            for envelope in &self.mailboxes[v] {
                 let edge = envelope.edge.index();
                 let slot = if self.edge_endpoints[edge][0] == me {
                     0
@@ -1331,29 +1337,21 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         self.round += 1;
         self.metrics.start_round();
         self.ledger.start_round();
-        // Swap the double-buffered mailboxes: last round's back buffer
-        // becomes this round's inboxes; the stale front buffer is cleared
-        // (capacity kept) by the dispatch phase before it refills it.
-        std::mem::swap(&mut self.inboxes, &mut self.pending);
+        // This round reads what the last barrier delivered; the dispatch
+        // phase clears and refills the plane (capacity kept) afterwards.
         self.in_flight = 0;
         // Silence counters first (they describe the round that just
         // delivered, on its port numbering), then this round's churn.
         self.update_port_silence();
         let round = self.round;
-        if let Err(error) = self.apply_churn(round) {
-            // Same cleanup as an execute-phase error below: the barrier
-            // never runs, so drop the stale back buffer.
-            for mailbox in &mut self.pending {
-                mailbox.clear();
-            }
-            return Err(error);
-        }
-        if let Err(error) = self.execute_phase(round, Phase::Round) {
-            // The barrier never ran, so the back buffer still holds the
-            // (already delivered) envelopes of two rounds ago. Drop them:
-            // a caller that continues past the error must not see them
-            // swapped back in as freshly delivered messages.
-            for mailbox in &mut self.pending {
+        let stepped = self
+            .apply_churn(round)
+            .and_then(|()| self.execute_phase(round, Phase::Round));
+        if let Err(error) = stepped {
+            // The barrier never runs, so the plane still holds this round's
+            // (already delivered) envelopes. Drop them: a caller that
+            // continues past the error must not see them delivered again.
+            for mailbox in &mut self.mailboxes {
                 mailbox.clear();
             }
             return Err(error);
@@ -1444,8 +1442,8 @@ where
             program.save_state(&mut state);
             program_states.push(state);
         }
-        let mut pending = Vec::with_capacity(self.pending.len());
-        for mailbox in &self.pending {
+        let mut pending = Vec::with_capacity(self.mailboxes.len());
+        for mailbox in &self.mailboxes {
             let mut envelopes = Vec::with_capacity(mailbox.len());
             for envelope in mailbox {
                 let mut payload = Vec::new();
@@ -1685,7 +1683,7 @@ where
             })?;
         }
         for (index, mailbox) in checkpoint.pending.iter().enumerate() {
-            let target = &mut network.pending[index];
+            let target = &mut network.mailboxes[index];
             target.clear();
             target.reserve(mailbox.len());
             for (slot, envelope) in mailbox.iter().enumerate() {
@@ -2174,11 +2172,10 @@ mod tests {
             let config = NetworkConfig::with_seed(5).sharded(shards);
             let mut network = Network::new(&graph, config, |_, _| Chatter).unwrap();
             network.run_rounds(3).unwrap();
-            let capacities: Vec<(usize, usize, usize)> = (0..9)
+            let capacities: Vec<(usize, usize)> = (0..9)
                 .map(|v| {
                     (
-                        network.inboxes[v].capacity(),
-                        network.pending[v].capacity(),
+                        network.mailboxes[v].capacity(),
                         network.outboxes[v].capacity(),
                     )
                 })
@@ -2186,9 +2183,58 @@ mod tests {
             network.run_rounds(3).unwrap();
             // Steady state: three more identical rounds grow no buffer.
             for (v, expected) in capacities.iter().enumerate() {
-                assert_eq!(network.inboxes[v].capacity(), expected.0, "{shards}");
-                assert_eq!(network.pending[v].capacity(), expected.1, "{shards}");
-                assert_eq!(network.outboxes[v].capacity(), expected.2, "{shards}");
+                assert_eq!(network.mailboxes[v].capacity(), expected.0, "{shards}");
+                assert_eq!(network.outboxes[v].capacity(), expected.1, "{shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn mailboxes_are_sized_exactly_to_their_incoming_messages() {
+        /// Broadcasts at initialization and in every round.
+        struct Chatter;
+        impl NodeProgram for Chatter {
+            type Message = u64;
+            fn init(&mut self, ctx: &mut Context<'_, u64>) {
+                ctx.broadcast(0);
+            }
+            fn round(&mut self, ctx: &mut Context<'_, u64>, _inbox: &[Envelope<u64>]) {
+                ctx.broadcast(u64::from(ctx.round()));
+            }
+        }
+        // Mixed degrees: a 6-node path (degrees 1 and 2) beside an 11-leaf
+        // star (degrees 11 and 1). Growing a mailbox one push at a time
+        // would round these capacities up to 4 and 16.
+        let mut graph = MultiGraph::new(18);
+        for v in 0..5 {
+            graph.add_edge(NodeId::new(v), NodeId::new(v + 1)).unwrap();
+        }
+        for leaf in 7..18 {
+            graph.add_edge(NodeId::new(6), NodeId::new(leaf)).unwrap();
+        }
+        let degrees: Vec<usize> = [1, 2, 2, 2, 2, 1, 11].into_iter().chain([1; 11]).collect();
+        for sched in [Scheduling::Dynamic, Scheduling::Static] {
+            for shards in [1, 2, 8] {
+                // Chunks of 4 nodes give the dynamic barrier several
+                // receiver chunks; the static one uses one per shard.
+                let config = NetworkConfig::with_seed(5)
+                    .sharded(shards)
+                    .scheduling(sched)
+                    .chunk_size(4);
+                let mut network = Network::new(&graph, config, |_, _| Chatter).unwrap();
+                // A broadcast round, then three more identical ones: every
+                // mailbox holds one message per port, at exactly that
+                // capacity, and keeps it.
+                for round in 1..=4 {
+                    network.run_round().unwrap();
+                    for (v, mailbox) in network.mailboxes.iter().enumerate() {
+                        assert_eq!(
+                            (mailbox.len(), mailbox.capacity()),
+                            (degrees[v], degrees[v]),
+                            "node {v} after round {round} at {shards} shards under {sched:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -43,10 +43,12 @@
 //! including a killed TCP rank rejoining its surviving peers under a
 //! [`RecoveryPolicy`]. See [`checkpoint`] and `docs/RECOVERY.md`.
 //!
-//! Messages move through a zero-allocation, double-buffered mailbox plane:
-//! sends are resolved (validated, receiver looked up) at send time, every
-//! buffer is reused across rounds, and per-message trace recording is
-//! gated behind [`TraceMode`] (off by default). The engine can run both
+//! Messages move through one zero-allocation mailbox plane. Sends are
+//! resolved (validated, receiver looked up) at send time. The round barrier
+//! refills the plane only after every program has read it, and sizes each
+//! mailbox exactly from a count of its incoming messages. Every buffer is
+//! reused across rounds, and per-message trace recording is gated behind
+//! [`TraceMode`] (off by default). The engine can run both
 //! phases of a round on multiple worker threads
 //! ([`NetworkConfig::sharded`]): programs are stepped node-sharded, and
 //! delivery runs receiver-sharded through a bucket exchange whose ledger

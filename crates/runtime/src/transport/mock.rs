@@ -341,7 +341,6 @@ mod tests {
         mock.deliver(RoundBarrier {
             round: 0,
             shards: 1,
-            sched: crate::engine::Scheduling::Dynamic,
             chunk_size: 1,
             traced: false,
             local_sent,

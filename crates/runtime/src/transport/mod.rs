@@ -7,10 +7,10 @@
 //! barrier — routing, fault injection, sender-side metrics — is
 //! backend-independent; the barrier itself is a [`Transport`]:
 //!
-//! * [`InProcessTransport`] — the default: the zero-allocation
-//!   double-buffered fast path (serial or receiver-sharded parallel
-//!   delivery) the engine has always used. Payloads move by value, nothing
-//!   is serialized.
+//! * [`InProcessTransport`] — the default: the zero-allocation fast path
+//!   (serial or receiver-chunked parallel delivery) that sizes each
+//!   mailbox exactly from a count of its incoming messages. Payloads move
+//!   by value, nothing is serialized.
 //! * [`TcpTransport`] — multi-process execution over localhost (or any
 //!   reachable peers): each process owns a contiguous node range, and the
 //!   barrier exchanges one length-prefixed binary frame per peer per round.
@@ -37,7 +37,6 @@ pub use mock::{Disturbance, FrameRecord, MockTransport};
 pub use tcp::{RejoinHello, TcpConfig, TcpTransport};
 
 use crate::churn::ChurnEvent;
-use crate::engine::Scheduling;
 use crate::error::RuntimeResult;
 use crate::metrics::{ExecutionMetrics, MessageLedger};
 use crate::node::{Envelope, Outgoing};
@@ -73,16 +72,13 @@ pub struct RoundBarrier<'a, M> {
     /// Effective worker-shard count of this execution (a parallelism hint;
     /// a backend may ignore it and deliver serially).
     pub shards: usize,
-    /// The execution's [`Scheduling`] mode — like `shards`, a parallelism
-    /// hint. The in-process backend mirrors it: static receiver-sharded
-    /// delivery under [`Scheduling::Static`], chunk-claiming delivery
-    /// workers under [`Scheduling::Dynamic`]. Wire backends may ignore it.
-    pub sched: Scheduling,
-    /// Target nodes per work-stealing chunk
-    /// ([`NetworkConfig::chunk_size`](crate::engine::NetworkConfig::chunk_size));
-    /// only meaningful under [`Scheduling::Dynamic`]. A backend may clamp
-    /// it (the in-process dispatch coarsens the grid so its bucket matrix
-    /// stays small — see `docs/PERF.md` §2).
+    /// Target nodes per delivery chunk — like `shards`, a parallelism hint:
+    /// [`NetworkConfig::chunk_size`](crate::engine::NetworkConfig::chunk_size)
+    /// under [`Scheduling::Dynamic`](crate::engine::Scheduling::Dynamic),
+    /// `⌈owned/shards⌉` (one chunk per shard) under
+    /// [`Scheduling::Static`](crate::engine::Scheduling::Static). A backend
+    /// may clamp it (the in-process dispatch coarsens the grid so its
+    /// bucket matrix stays small — see `docs/PERF.md` §2) or ignore it.
     pub chunk_size: usize,
     /// Whether this round must record trace events (canonical order).
     pub traced: bool,
@@ -94,8 +90,9 @@ pub struct RoundBarrier<'a, M> {
     pub halted: &'a [bool],
     /// Per-node outboxes in canonical node order; the backend drains them.
     pub outboxes: &'a mut [Vec<Outgoing<M>>],
-    /// Back mailbox buffer to fill (the engine swaps it in next round). The
-    /// backend must clear stale contents before delivering.
+    /// The mailbox plane, still holding the messages the programs just
+    /// read this round. The backend must clear each mailbox before
+    /// delivering into it; the programs read the result next round.
     pub mailboxes: &'a mut [Vec<Envelope<M>>],
     /// Execution metrics; local sends are already counted. A distributed
     /// backend merges peer ranks' per-node send counts here.

@@ -1654,7 +1654,6 @@ mod tests {
         transport.deliver(RoundBarrier {
             round: 0,
             shards: 1,
-            sched: crate::engine::Scheduling::Dynamic,
             chunk_size: 1,
             traced: false,
             local_sent,

@@ -186,7 +186,7 @@ fn maximal_matching_is_shard_invariant_and_valid() {
     }
 }
 
-/// A parity-pattern probe for the double-buffered mailboxes: every node
+/// A parity-pattern probe for the mailbox plane: every node
 /// broadcasts only in odd rounds, so inboxes must be non-empty exactly in
 /// even rounds. A stale message leaking from a reused (but undrained)
 /// mailbox buffer would surface as a non-empty inbox in an odd round — the
