@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use freelunch_bench::ScalingWorkload;
 use freelunch_graph::generators::{sparse_connected_erdos_renyi, GeneratorConfig};
 use freelunch_graph::MultiGraph;
-use freelunch_runtime::{Context, Envelope, Network, NetworkConfig, NodeProgram, Scheduling};
+use freelunch_runtime::{Context, Envelope, Network, NetworkConfig, NodeProgram};
 
 /// Minimal message-plane load: one broadcast per node per round, no
 /// per-round state, never halts (the bench drives rounds directly).
@@ -39,10 +39,10 @@ fn smoke() -> bool {
     std::env::var_os("ROUND_BARRIER_SMOKE").is_some()
 }
 
-/// The benched topologies: the uniform sparse graph (every shard range
-/// carries equal work — the scheduler-neutral case) and the skewed
-/// hub-and-spokes graph whose message work is concentrated in the first
-/// contiguous shard range (the case static chunking starves on).
+/// The benched topologies: the uniform sparse graph (every node range
+/// carries equal work) and the skewed hub-and-spokes graph whose message
+/// work is concentrated in the first contiguous shard range (the case that
+/// one range per worker starves on, and chunk claiming balances).
 fn workloads() -> Vec<(&'static str, MultiGraph)> {
     let n = if smoke() { 1 << 10 } else { 1 << 16 };
     vec![
@@ -65,35 +65,19 @@ fn bench_round_barrier(c: &mut Criterion) {
         let messages_per_round = 2 * graph.edge_count() as u64;
         let mut group = c.benchmark_group(format!("round_barrier/{name}"));
         group.sample_size(if smoke() { 1 } else { 10 });
-        // The 1-shard row is scheduler-free (serial path); each parallel
-        // shard count runs under both the work-stealing default and the
-        // static contiguous partition.
-        let grid: &[(usize, Scheduling, &str)] = &[
-            (1, Scheduling::Dynamic, "serial"),
-            (2, Scheduling::Dynamic, "dynamic"),
-            (2, Scheduling::Static, "static"),
-            (8, Scheduling::Dynamic, "dynamic"),
-            (8, Scheduling::Static, "static"),
-        ];
-        for &(shards, sched, sched_label) in grid {
-            group.bench_with_input(
-                BenchmarkId::new(sched_label, shards),
-                &shards,
-                |b, &shards| {
-                    let config = NetworkConfig::with_seed(3)
-                        .sharded(shards)
-                        .scheduling(sched);
-                    let mut network =
-                        Network::new(&graph, config, |_, _| Beacon).expect("network builds");
-                    // Prewarm: grow every reusable buffer to steady state so
-                    // the timed rounds allocate nothing.
-                    network.run_rounds(2).expect("prewarm rounds");
-                    b.iter(|| {
-                        network.run_round().expect("round runs");
-                        network.pending_messages()
-                    });
-                },
-            );
+        for shards in [1, 2, 8] {
+            group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
+                let config = NetworkConfig::with_seed(3).sharded(shards);
+                let mut network =
+                    Network::new(&graph, config, |_, _| Beacon).expect("network builds");
+                // Prewarm: grow every reusable buffer to steady state so
+                // the timed rounds allocate nothing.
+                network.run_rounds(2).expect("prewarm rounds");
+                b.iter(|| {
+                    network.run_round().expect("round runs");
+                    network.pending_messages()
+                });
+            });
         }
         eprintln!(
             "round_barrier/{name} workload: n={}, m={}, {} messages/round \

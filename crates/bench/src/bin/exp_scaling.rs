@@ -35,7 +35,7 @@ use freelunch_bench::{
     cell_f64, cell_str, cell_u64, tables_to_json, ExperimentTable, ScalingWorkload,
 };
 use freelunch_graph::MultiGraph;
-use freelunch_runtime::{Context, Envelope, Network, NetworkConfig, NodeProgram, Scheduling};
+use freelunch_runtime::{Context, Envelope, Network, NetworkConfig, NodeProgram};
 use std::time::Instant;
 
 /// Fixed-round neighbor exchange: every node broadcasts a mixing of
@@ -84,10 +84,8 @@ struct RunResult {
     metrics: freelunch_runtime::ExecutionMetrics,
 }
 
-fn run_once(graph: &MultiGraph, shards: usize, sched: Scheduling) -> RunResult {
-    let config = NetworkConfig::with_seed(7)
-        .sharded(shards)
-        .scheduling(sched);
+fn run_once(graph: &MultiGraph, shards: usize) -> RunResult {
+    let config = NetworkConfig::with_seed(7).sharded(shards);
     let mut network = Network::new(graph, config, |_, _| PulseExchange {
         state: 0,
         rounds: ROUNDS,
@@ -116,10 +114,10 @@ fn run_once(graph: &MultiGraph, shards: usize, sched: Scheduling) -> RunResult {
 
 /// Runs a configuration `REPS` times, asserts every repetition is
 /// bit-identical, and returns the result carrying the minimum wall time.
-fn run_best_of(graph: &MultiGraph, shards: usize, sched: Scheduling) -> RunResult {
-    let mut best = run_once(graph, shards, sched);
+fn run_best_of(graph: &MultiGraph, shards: usize) -> RunResult {
+    let mut best = run_once(graph, shards);
     for _ in 1..REPS {
-        let next = run_once(graph, shards, sched);
+        let next = run_once(graph, shards);
         assert_eq!(best.digest, next.digest, "nondeterministic repetition");
         assert_eq!(best.metrics, next.metrics, "nondeterministic repetition");
         if next.elapsed_s < best.elapsed_s {
@@ -139,29 +137,18 @@ fn main() {
     } else {
         &[1 << 16, 1 << 18, 1 << 20]
     };
-    // Each parallel shard count runs under both schedulers: `dynamic` is
-    // the work-stealing default, `static` the contiguous pre-stealing
-    // partition kept as the comparison baseline. The 1-shard serial row is
-    // scheduler-free (both modes take the same sequential path).
-    let grid: &[(usize, Scheduling, &str)] = &[
-        (1, Scheduling::Dynamic, "serial"),
-        (2, Scheduling::Dynamic, "dynamic"),
-        (2, Scheduling::Static, "static"),
-        (8, Scheduling::Dynamic, "dynamic"),
-        (8, Scheduling::Static, "static"),
-    ];
+    let shard_counts = [1, 2, 8];
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1) as u64;
 
     let mut table = ExperimentTable::new(
-        "E-scaling — sharded engine throughput (nodes x shards x scheduler; min of 3 runs; identical outputs enforced)",
+        "E-scaling — sharded engine throughput (nodes x shards; min of 3 runs; identical outputs enforced)",
         &[
             "workload",
             "n",
             "m",
             "shards",
-            "sched",
             "cores",
             "rounds",
             "messages",
@@ -176,8 +163,8 @@ fn main() {
             let graph = workload.build(n, 42).expect("workload builds");
             let m = graph.edge_count() as u64;
             let mut baseline: Option<RunResult> = None;
-            for &(shards, sched, sched_label) in grid {
-                let result = run_best_of(&graph, shards, sched);
+            for shards in shard_counts {
+                let result = run_best_of(&graph, shards);
                 let (speedup, identical) = match &baseline {
                     None => (1.0, true),
                     Some(reference) => {
@@ -187,14 +174,14 @@ fn main() {
                             && reference.metrics == result.metrics;
                         assert!(
                             identical,
-                            "{}/{n}: {shards}-shard {sched_label} run diverged from sequential",
+                            "{}/{n}: {shards}-shard run diverged from sequential",
                             workload.label()
                         );
                         (reference.elapsed_s / result.elapsed_s, identical)
                     }
                 };
                 eprintln!(
-                    "{:12} n={n:>8} m={m:>9} shards={shards} sched={sched_label:7} {:>8.3}s x{speedup:.2}",
+                    "{:12} n={n:>8} m={m:>9} shards={shards} {:>8.3}s x{speedup:.2}",
                     workload.label(),
                     result.elapsed_s
                 );
@@ -203,7 +190,6 @@ fn main() {
                     cell_u64(n as u64),
                     cell_u64(m),
                     cell_u64(shards as u64),
-                    cell_str(sched_label),
                     cell_u64(cores),
                     cell_u64(result.rounds),
                     cell_u64(result.messages),

@@ -54,7 +54,7 @@
 //! [`Trace`]: crate::trace::Trace
 
 use crate::churn::ChurnEvent;
-use crate::engine::{NetworkConfig, Scheduling};
+use crate::engine::NetworkConfig;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::knowledge::KnowledgeModel;
 use crate::metrics::FaultTotals;
@@ -66,8 +66,9 @@ use std::path::Path;
 
 /// Checkpoint-file magic: `"FLCP"` (freelunch checkpoint).
 const CHECKPOINT_MAGIC: [u8; 4] = *b"FLCP";
-/// Checkpoint format version; bumped on any layout change (v2 added the
-/// scheduling mode and work-stealing chunk size to the config section).
+/// Checkpoint format version; bumped on any layout change (v2 added a
+/// scheduling byte and the work-stealing chunk size to the config section;
+/// the scheduling byte is now zero padding, so the layout is unchanged).
 const CHECKPOINT_VERSION: u8 = 2;
 /// Encoded size of a [`TraceEvent`] in the trace section.
 const TRACE_EVENT_BYTES: usize = 20;
@@ -419,11 +420,7 @@ impl NetworkCheckpoint {
             TraceMode::Off => 0u8,
             TraceMode::Full => 1,
         });
-        buf.push(match self.config.sched {
-            Scheduling::Dynamic => 0u8,
-            Scheduling::Static => 1,
-        });
-        buf.extend_from_slice(&[0u8; 1]);
+        buf.extend_from_slice(&[0u8; 2]);
         buf.extend_from_slice(&self.config.log_n_slack.to_le_bytes());
         buf.extend_from_slice(&self.config.seed.to_le_bytes());
         buf.extend_from_slice(&(self.config.trace_capacity as u64).to_le_bytes());
@@ -533,17 +530,7 @@ impl NetworkCheckpoint {
                 )))
             }
         };
-        let sched = match r.u8("config.sched")? {
-            0 => Scheduling::Dynamic,
-            1 => Scheduling::Static,
-            tag => {
-                return Err(RuntimeError::checkpoint(format!(
-                    "unknown scheduling tag {tag} at offset {}",
-                    r.pos - 1
-                )))
-            }
-        };
-        r.padding(1, "config padding")?;
+        r.padding(2, "config padding")?;
         let log_n_slack = r.u32("config.log_n_slack")?;
         let seed = r.u64("config.seed")?;
         let trace_capacity_cfg = r.u64("config.trace_capacity")?;
@@ -556,7 +543,6 @@ impl NetworkCheckpoint {
             trace_mode,
             trace_capacity: trace_capacity_cfg as usize,
             shards: shards as usize,
-            sched,
             chunk_size: chunk_size as usize,
         };
         // Section 2: cursor.
@@ -904,6 +890,25 @@ mod tests {
         bytes.extend_from_slice(&body_plus);
         let err = NetworkCheckpoint::from_bytes(&bytes).expect_err("trailing byte must fail");
         assert!(err.to_string().contains("trailing"), "got: {err}");
+    }
+
+    #[test]
+    fn the_former_scheduling_byte_is_padding() {
+        let mut body = sample().encode_body();
+        body[2] = 1;
+        let header = CheckpointHeader {
+            body_len: body.len() as u64,
+            checksum: fnv1a64(&body),
+        };
+        let mut bytes = Vec::new();
+        header.encode(&mut bytes);
+        bytes.extend_from_slice(&body);
+        let err = NetworkCheckpoint::from_bytes(&bytes).expect_err("non-zero padding must fail");
+        assert!(
+            matches!(err, RuntimeError::Checkpoint { .. })
+                && err.to_string().contains("config padding"),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -23,17 +23,17 @@
 //! # Sharded parallel execution
 //!
 //! Every round has two phases, both parallelized over
-//! [`NetworkConfig::shards`] worker threads under a [`Scheduling`] mode:
+//! [`NetworkConfig::shards`] workers, the calling thread being one of them:
 //!
 //! * the *execute* phase steps each node's program against its inbox
-//!   snapshot — nodes are mutually independent within a round. Under the
-//!   default [`Scheduling::Dynamic`] the node range is pre-split into
-//!   many small chunks ([`NetworkConfig::chunk_size`] nodes each) and the
-//!   workers **claim chunks off a shared atomic cursor** until none
-//!   remain, so a skewed workload (scale-free hubs, a half-halted graph)
-//!   cannot idle every worker behind one overloaded range.
-//!   [`Scheduling::Static`] keeps the pre-stealing partition into exactly
-//!   `shards` contiguous `div_ceil` ranges as a comparison baseline;
+//!   snapshot — nodes are mutually independent within a round. The node
+//!   range is pre-split into chunks of [`NetworkConfig::chunk_size`] nodes
+//!   (at most `⌈owned/shards⌉`, so a small graph still feeds every worker)
+//!   and the workers **claim chunks in ascending order off one shared
+//!   queue** until none remain, so a skewed workload (scale-free hubs, a
+//!   half-halted graph) cannot idle every worker behind one overloaded
+//!   range. A chunk size of `⌈owned/shards⌉` gives one contiguous range per
+//!   shard;
 //! * the *dispatch* phase delivers at the round barrier with
 //!   **receiver-chunked workers**: a route step buckets the canonical
 //!   node-ordered outboxes into a (sender chunk × receiver chunk) grid,
@@ -41,8 +41,7 @@
 //!   count of its bucket column, and drain the column in ascending
 //!   sender-chunk order, accumulating per-edge ledger partials as they
 //!   go; the partials are merged into the [`MessageLedger`] when the
-//!   barrier closes. Under [`Scheduling::Static`] the grid has one chunk
-//!   per shard. Each receiver's mailbox is filled in ascending sender
+//!   barrier closes. Each receiver's mailbox is filled in ascending sender
 //!   order (and, per sender, in send order): the exact order the
 //!   sequential engine produces.
 //!
@@ -52,14 +51,12 @@
 //! sub-slices each claimed exactly once), each node draws from its own
 //! seeded [`ChaCha8Rng`] stream keyed by `(seed, node)`, and the barrier
 //! reads everything back in canonical node order. A failing round reports
-//! the canonically **first** error (lowest node index) on all paths — the
-//! serial engine trivially, the static partition by joining shards in
-//! ascending order, the dynamic scheduler by reducing the per-worker
-//! lowest-node candidates after the join. Hence every observable of an
-//! execution — [`ExecutionMetrics`], [`MessageLedger`], [`Trace`],
-//! program outputs — is **bit-identical for every shard count, scheduler
-//! and chunk size** at equal seeds. Sharding and scheduling are
-//! wall-clock knobs, never semantics knobs.
+//! the canonically **first** error (lowest node index): claims are
+//! ascending, so each worker keeps the first error it meets, and the lowest
+//! of those wins after the join. Hence every observable of an execution —
+//! [`ExecutionMetrics`], [`MessageLedger`], [`Trace`], program outputs — is
+//! **bit-identical for every shard count and chunk size** at equal seeds.
+//! Both are wall-clock knobs, never semantics knobs.
 //!
 //! Per-message trace recording is priced separately: it is off by default
 //! ([`TraceMode::Off`]) and a traced execution ([`NetworkConfig::traced`])
@@ -125,55 +122,16 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One claimable chunk of the work-stealing execute phase: `(first node
-/// index, programs, rngs, outboxes, halted flags)` — disjoint equal-length
-/// sub-slices of the per-node state arrays, handed to exactly one worker by
-/// the claim cursor.
-type ExecChunk<'a, P, M> = (
-    usize,
-    &'a mut [P],
-    &'a mut [ChaCha8Rng],
-    &'a mut [Vec<Outgoing<M>>],
-    &'a mut [bool],
-);
-
-/// The work-stealing claim queue of the dynamic execute phase: one slot per
-/// [`ExecChunk`], `take`n exactly once by whichever worker's cursor fetch
-/// lands on it.
-type ExecQueue<'a, P, M> = Vec<Mutex<Option<ExecChunk<'a, P, M>>>>;
-
-/// How the parallel execute and dispatch phases split their node ranges
-/// across the worker shards.
-///
-/// Either mode produces **bit-identical observables** — outputs,
-/// [`ExecutionMetrics`], [`MessageLedger`], [`Trace`] — at equal seeds:
-/// every node writes only its own pre-allocated slots (program state, RNG,
-/// outbox, halted flag) whichever worker steps it, and all merging stays in
-/// canonical node order. Scheduling, like the shard count, is a wall-clock
-/// knob, never a semantics knob. See `docs/PERF.md` §2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Scheduling {
-    /// Chunked work-stealing (the default): the node range is split into
-    /// many small fixed-size chunks ([`NetworkConfig::chunk_size`] nodes)
-    /// and workers claim them off a shared atomic cursor, so a worker that
-    /// finishes its chunk early immediately picks up the next one. On
-    /// skewed (scale-free) workloads this keeps every worker busy until the
-    /// barrier instead of leaving all but the hub-owning shard idle.
-    #[default]
-    Dynamic,
-    /// The pre-stealing static partition: exactly `shards` contiguous
-    /// `div_ceil` chunks, one per worker. Kept as the comparison baseline
-    /// (`BENCH_engine_scaling.json` records both) and for workloads whose
-    /// per-node cost is genuinely uniform.
-    Static,
-}
+/// Largest accepted [`NetworkConfig::shards`]: every parallel phase starts
+/// up to `shards − 1` threads, so a count read from a config or checkpoint
+/// must not reach the thread spawner unbounded.
+const MAX_SHARDS: usize = 256;
 
 /// Default [`NetworkConfig::chunk_size`]: small enough that a scale-free
-/// hub's chunk cannot dominate the barrier, large enough that the claim
-/// cursor is touched a few hundred times per phase at most.
+/// hub's chunk cannot dominate the barrier, large enough that a phase
+/// makes a few hundred claims at most.
 pub const DEFAULT_CHUNK_SIZE: usize = 2048;
 
 fn default_chunk_size() -> usize {
@@ -206,22 +164,15 @@ pub struct NetworkConfig {
     /// stored).
     pub trace_capacity: usize,
     /// Number of worker shards each round's execute and dispatch phases are
-    /// split into (1 = sequential). Shard counts above the node count are
-    /// clamped down; 0 is rejected by [`Network::new`]. Every observable of
-    /// the execution is bit-identical for every shard count — see the
-    /// [module docs](self).
+    /// split into (1 = sequential). Shard counts above the owned node count
+    /// are clamped down; 0 and counts above `MAX_SHARDS` (256) are rejected
+    /// by [`Network::new`]. Every observable of the execution is
+    /// bit-identical for every shard count — see the [module docs](self).
     pub shards: usize,
-    /// How the parallel phases divide work across the shard workers
-    /// ([`Scheduling::Dynamic`] chunked work-stealing by default).
-    /// Irrelevant when `shards == 1`. Configs serialized before this field
-    /// existed deserialize as `Dynamic`; that is safe because scheduling
-    /// never changes an observable.
-    #[serde(default)]
-    pub sched: Scheduling,
-    /// Target nodes per work-stealing chunk under [`Scheduling::Dynamic`]
-    /// ([`DEFAULT_CHUNK_SIZE`] by default; 0 is rejected by
-    /// [`Network::new`]). Smaller chunks balance skew better but touch the
-    /// claim cursor more often; the dispatch barrier additionally clamps
+    /// Target nodes per work-stealing chunk ([`DEFAULT_CHUNK_SIZE`] by
+    /// default; 0 is rejected by [`Network::new`]). Smaller chunks balance
+    /// skew better but are claimed more often; `⌈n/shards⌉` gives one
+    /// contiguous range per shard. The dispatch barrier additionally clamps
     /// its chunk grid so its bucket matrix stays small — see
     /// `docs/PERF.md` §2 for tuning guidance.
     #[serde(default = "default_chunk_size")]
@@ -237,7 +188,6 @@ impl Default for NetworkConfig {
             trace_mode: TraceMode::Off,
             trace_capacity: 0,
             shards: 1,
-            sched: Scheduling::Dynamic,
             chunk_size: default_chunk_size(),
         }
     }
@@ -283,17 +233,8 @@ impl NetworkConfig {
         self
     }
 
-    /// Returns a copy using the given [`Scheduling`] mode for the parallel
-    /// phases. A no-op knob semantically: observables are bit-identical
-    /// under either mode (and under any shard count).
-    pub fn scheduling(mut self, sched: Scheduling) -> Self {
-        self.sched = sched;
-        self
-    }
-
     /// Returns a copy using the given work-stealing chunk size (nodes per
-    /// claimable chunk under [`Scheduling::Dynamic`]; 0 is rejected by
-    /// [`Network::new`]).
+    /// claimable chunk; 0 is rejected by [`Network::new`]).
     pub fn chunk_size(mut self, nodes: usize) -> Self {
         self.chunk_size = nodes;
         self
@@ -304,6 +245,49 @@ impl NetworkConfig {
 /// stream seed (the crate-wide splitmix64 finalizer).
 fn node_seed(seed: u64, node: usize) -> u64 {
     crate::fault::splitmix64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Runs `work` on every item on up to `workers` workers and returns their
+/// accumulators. The calling thread is one of the workers, so one worker
+/// starts no thread and `k` workers start `k − 1` scoped threads.
+///
+/// Workers claim items in ascending order off one shared queue until it
+/// runs dry: a worker that drew cheap items keeps claiming while another
+/// grinds through a heavy one, and each worker meets its own items in
+/// ascending order. If `work` panics, the caller panics with the original
+/// payload once every worker has stopped.
+pub(crate) fn claim_each<I, A, F>(workers: usize, items: Vec<I>, work: F) -> Vec<A>
+where
+    I: Send,
+    A: Default + Send,
+    F: Fn(&mut A, I) + Sync,
+{
+    let spawned = workers.min(items.len()).saturating_sub(1);
+    let queue = Mutex::new(items.into_iter());
+    let worker = || {
+        let mut acc = A::default();
+        loop {
+            // The claim is its own statement, so the lock is released
+            // before the item's work runs.
+            let claimed = queue
+                .lock()
+                .expect("no worker panics while holding the claim queue")
+                .next();
+            let Some(item) = claimed else { return acc };
+            work(&mut acc, item);
+        }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(worker)).collect();
+        let mut accs = vec![worker()];
+        for handle in handles {
+            match handle.join() {
+                Ok(acc) => accs.push(acc),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        accs
+    })
 }
 
 /// A synchronous network executing one program instance per node.
@@ -567,10 +551,11 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 "the communication graph has no nodes",
             ));
         }
-        if config.shards == 0 {
-            return Err(RuntimeError::invalid_config(
-                "the shard count must be at least 1",
-            ));
+        if config.shards == 0 || config.shards > MAX_SHARDS {
+            return Err(RuntimeError::invalid_config(format!(
+                "the shard count must be between 1 and {MAX_SHARDS}, got {}",
+                config.shards
+            )));
         }
         if config.chunk_size == 0 {
             return Err(RuntimeError::invalid_config(
@@ -852,19 +837,16 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     /// inbox snapshot, writing resolved messages into the per-node
     /// persistent outboxes and sizing their payloads
     /// ([`NodeProgram::payload_bytes`]) on the worker that stepped the
-    /// node. With more than one shard the nodes are split into contiguous
-    /// chunks stepped on scoped worker threads: one `div_ceil` chunk per
-    /// worker under [`Scheduling::Static`], or many
-    /// [`NetworkConfig::chunk_size`]-node chunks claimed off a shared
-    /// atomic cursor under [`Scheduling::Dynamic`] (the default), so
-    /// skewed per-node costs cannot leave workers idle at the barrier.
+    /// node. The owned range is split into contiguous chunks of at most
+    /// [`NetworkConfig::chunk_size`] nodes, which the shard workers claim
+    /// through [`claim_each`], so skewed per-node costs cannot leave
+    /// workers idle at the barrier.
     ///
     /// An invalid send (unknown or non-incident edge) aborts the round at
     /// the barrier — before anything is delivered or counted — reporting
-    /// the canonically first error (lowest node, earliest send): the serial
-    /// path sees it first, the static path joins shards in ascending node
-    /// order, and the work-stealing path reduces worker-local candidates by
-    /// node index.
+    /// the canonically first error (lowest node, earliest send): each
+    /// worker keeps the first error it meets, which is its lowest node
+    /// because claims are ascending, and the lowest of those wins.
     fn execute_phase(&mut self, round: u32, phase: Phase) -> RuntimeResult<()> {
         let shards = self.shard_count();
         let csr = &self.csr;
@@ -932,157 +914,40 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         };
 
         let owned = self.owned.clone();
-        let mut first_error: Option<RuntimeError> = None;
-        if shards == 1 {
-            for (offset, (((program, rng), outbox), halted)) in self.programs[owned.clone()]
-                .iter_mut()
-                .zip(self.rngs[owned.clone()].iter_mut())
-                .zip(self.outboxes[owned.clone()].iter_mut())
-                .zip(self.halted[owned.clone()].iter_mut())
-                .enumerate()
-            {
-                let error = step(owned.start + offset, program, rng, outbox, halted);
-                if first_error.is_none() {
-                    first_error = error;
-                }
-            }
-        } else if self.config.sched == Scheduling::Static {
-            let chunk = owned.len().div_ceil(shards);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self.programs[owned.clone()]
-                    .chunks_mut(chunk)
-                    .zip(self.rngs[owned.clone()].chunks_mut(chunk))
-                    .zip(self.outboxes[owned.clone()].chunks_mut(chunk))
-                    .zip(self.halted[owned.clone()].chunks_mut(chunk))
+        let chunk = self
+            .config
+            .chunk_size
+            .min(owned.len().div_ceil(shards))
+            .max(1);
+        let chunks: Vec<_> = self.programs[owned.clone()]
+            .chunks_mut(chunk)
+            .zip(self.rngs[owned.clone()].chunks_mut(chunk))
+            .zip(self.outboxes[owned.clone()].chunks_mut(chunk))
+            .zip(self.halted[owned.clone()].chunks_mut(chunk))
+            .enumerate()
+            .collect();
+        let firsts = claim_each(
+            shards,
+            chunks,
+            |first: &mut Option<(usize, RuntimeError)>,
+             (slot, (((programs, rngs), outboxes), halted))| {
+                let base = owned.start + slot * chunk;
+                for (offset, (((program, rng), outbox), halted)) in programs
+                    .iter_mut()
+                    .zip(rngs)
+                    .zip(outboxes)
+                    .zip(halted)
                     .enumerate()
-                    .map(|(shard, (((programs, rngs), outboxes), halted))| {
-                        let base = owned.start + shard * chunk;
-                        let step = &step;
-                        scope.spawn(move || {
-                            let mut shard_error: Option<RuntimeError> = None;
-                            for (offset, (((program, rng), outbox), halted)) in programs
-                                .iter_mut()
-                                .zip(rngs.iter_mut())
-                                .zip(outboxes.iter_mut())
-                                .zip(halted.iter_mut())
-                                .enumerate()
-                            {
-                                let error = step(base + offset, program, rng, outbox, halted);
-                                if shard_error.is_none() {
-                                    shard_error = error;
-                                }
-                            }
-                            shard_error
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    match handle.join() {
-                        // Shards are joined in ascending node order, so the
-                        // first error seen is the canonically first one.
-                        Ok(error) => {
-                            if first_error.is_none() {
-                                first_error = error;
-                            }
-                        }
-                        // A panicking program panics the whole execution,
-                        // just like in the sequential engine.
-                        Err(payload) => std::panic::resume_unwind(payload),
+                {
+                    let error = step(base + offset, program, rng, outbox, halted);
+                    if first.is_none() {
+                        *first = error.map(|error| (base + offset, error));
                     }
                 }
-            });
-        } else {
-            // Chunked work-stealing (`Scheduling::Dynamic`): the owned range
-            // is pre-split into many small chunks and the workers claim them
-            // off a shared cursor, so a worker that drew cheap nodes keeps
-            // stepping while another grinds through a hub's heavy chunk.
-            // Determinism is free: whichever worker claims a chunk, every
-            // node still writes only its own pre-allocated slots, and errors
-            // are reduced to the canonical first one (lowest node index)
-            // after the joins.
-            let chunk = self
-                .config
-                .chunk_size
-                .min(owned.len().div_ceil(shards))
-                .max(1);
-            let chunks: ExecQueue<'_, P, P::Message> = self.programs[owned.clone()]
-                .chunks_mut(chunk)
-                .zip(self.rngs[owned.clone()].chunks_mut(chunk))
-                .zip(self.outboxes[owned.clone()].chunks_mut(chunk))
-                .zip(self.halted[owned.clone()].chunks_mut(chunk))
-                .enumerate()
-                .map(|(slot, (((programs, rngs), outboxes), halted))| {
-                    Mutex::new(Some((
-                        owned.start + slot * chunk,
-                        programs,
-                        rngs,
-                        outboxes,
-                        halted,
-                    )))
-                })
-                .collect();
-            let cursor = AtomicUsize::new(0);
-            let workers = shards.min(chunks.len());
-            let mut lowest: Option<(usize, RuntimeError)> = None;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let step = &step;
-                        let cursor = &cursor;
-                        let chunks = &chunks;
-                        scope.spawn(move || {
-                            // This worker's canonically first error:
-                            // `(node index, error)`, lowest index wins.
-                            let mut worst: Option<(usize, RuntimeError)> = None;
-                            loop {
-                                let claimed = cursor.fetch_add(1, Ordering::Relaxed);
-                                if claimed >= chunks.len() {
-                                    break;
-                                }
-                                let (base, programs, rngs, outboxes, halted) = chunks[claimed]
-                                    .lock()
-                                    .expect("a chunk claim cannot be poisoned")
-                                    .take()
-                                    .expect("the cursor hands each chunk to exactly one worker");
-                                for (offset, (((program, rng), outbox), halted)) in programs
-                                    .iter_mut()
-                                    .zip(rngs.iter_mut())
-                                    .zip(outboxes.iter_mut())
-                                    .zip(halted.iter_mut())
-                                    .enumerate()
-                                {
-                                    let index = base + offset;
-                                    if let Some(error) = step(index, program, rng, outbox, halted) {
-                                        if worst.as_ref().is_none_or(|&(node, _)| index < node) {
-                                            worst = Some((index, error));
-                                        }
-                                    }
-                                }
-                            }
-                            worst
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    match handle.join() {
-                        // Workers interleave their claims nondeterministically,
-                        // so — unlike the static path's ascending joins — the
-                        // canonical first error must be restored explicitly:
-                        // the lowest erroring node index wins.
-                        Ok(Some((node, error))) => {
-                            if lowest.as_ref().is_none_or(|&(best, _)| node < best) {
-                                lowest = Some((node, error));
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            });
-            first_error = lowest.map(|(_, error)| error);
-        }
-        match first_error {
-            Some(error) => Err(error),
+            },
+        );
+        match firsts.into_iter().flatten().min_by_key(|&(node, _)| node) {
+            Some((_, error)) => Err(error),
             None => Ok(()),
         }
     }
@@ -1105,18 +970,11 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             round_total += count;
         }
 
-        let shards = self.shard_count();
         let traced = self.config.trace_mode == TraceMode::Full;
-        // The static partition is the chunked barrier with one chunk per
-        // shard (docs/PERF.md §2).
-        let chunk_size = match self.config.sched {
-            Scheduling::Static => self.owned.len().div_ceil(shards),
-            Scheduling::Dynamic => self.config.chunk_size,
-        };
         let outcome = self.transport.deliver(RoundBarrier {
             round,
-            shards,
-            chunk_size,
+            shards: self.shard_count(),
+            chunk_size: self.config.chunk_size,
             traced,
             local_sent: round_total,
             halted: &self.halted,
@@ -2213,14 +2071,13 @@ mod tests {
             graph.add_edge(NodeId::new(6), NodeId::new(leaf)).unwrap();
         }
         let degrees: Vec<usize> = [1, 2, 2, 2, 2, 1, 11].into_iter().chain([1; 11]).collect();
-        for sched in [Scheduling::Dynamic, Scheduling::Static] {
-            for shards in [1, 2, 8] {
-                // Chunks of 4 nodes give the dynamic barrier several
-                // receiver chunks; the static one uses one per shard.
+        for shards in [1, 2, 8] {
+            // Chunks of 4 nodes give the barrier several receiver chunks;
+            // ⌈18/shards⌉ gives one per shard.
+            for chunk in [4, 18usize.div_ceil(shards)] {
                 let config = NetworkConfig::with_seed(5)
                     .sharded(shards)
-                    .scheduling(sched)
-                    .chunk_size(4);
+                    .chunk_size(chunk);
                 let mut network = Network::new(&graph, config, |_, _| Chatter).unwrap();
                 // A broadcast round, then three more identical ones: every
                 // mailbox holds one message per port, at exactly that
@@ -2231,7 +2088,7 @@ mod tests {
                         assert_eq!(
                             (mailbox.len(), mailbox.capacity()),
                             (degrees[v], degrees[v]),
-                            "node {v} after round {round} at {shards} shards under {sched:?}"
+                            "node {v} after round {round} at {shards} shards, chunk {chunk}"
                         );
                     }
                 }
@@ -2319,12 +2176,26 @@ mod tests {
         })
         .unwrap();
         assert_eq!(network.shard_count(), 4);
-        assert!(
-            Network::new(&graph, NetworkConfig::default().sharded(0), |node, _| {
-                Flood::new(node)
-            })
-            .is_err()
-        );
+        for shards in [0, MAX_SHARDS + 1, usize::MAX] {
+            let built = Network::new(
+                &graph,
+                NetworkConfig::default().sharded(shards),
+                |node, _| Flood::new(node),
+            );
+            assert!(
+                matches!(built, Err(RuntimeError::InvalidConfig { .. })),
+                "{shards} shards"
+            );
+        }
+        // A checkpoint file carries the shard count as a raw u64: restore
+        // must reject it before any round runs.
+        let mut checkpoint = network.checkpoint();
+        checkpoint.config.shards = usize::MAX;
+        let checkpoint = NetworkCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
+        assert!(matches!(
+            Network::restore(&graph, &checkpoint, |node, _| Flood::new(node)),
+            Err(RuntimeError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
@@ -2380,20 +2251,50 @@ mod tests {
             node: NodeId::new(3),
             edge: EdgeId::new(50),
         };
-        for sched in [Scheduling::Dynamic, Scheduling::Static] {
-            for shards in [1, 2, 8] {
-                // chunk_size(1) maximizes chunk count, so the two rogues
-                // land in different chunks and are claimed by racing
-                // workers in a nondeterministic order.
-                let config = NetworkConfig::default()
-                    .sharded(shards)
-                    .scheduling(sched)
-                    .chunk_size(1);
+        for shards in [1, 2, 8] {
+            // chunk_size(1) maximizes chunk count, so the two rogues land
+            // in different chunks and are claimed by racing workers in a
+            // nondeterministic order; ⌈96/shards⌉ gives one range per
+            // shard.
+            for chunk in [1, 96usize.div_ceil(shards)] {
+                let config = NetworkConfig::default().sharded(shards).chunk_size(chunk);
                 let mut network = Network::new(&graph, config, |_, _| TwinRogue).unwrap();
                 assert_eq!(
                     network.run_round().unwrap_err(),
                     first,
-                    "at {shards} shards under {sched:?}"
+                    "at {shards} shards, chunk {chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_program_panics_the_round() {
+        /// The payload node 90 panics with.
+        #[derive(Debug, PartialEq)]
+        struct NodePanic(u32);
+        struct Bomb;
+        impl NodeProgram for Bomb {
+            type Message = ();
+            fn round(&mut self, ctx: &mut Context<'_, ()>, _inbox: &[Envelope<()>]) {
+                if ctx.node() == NodeId::new(90) {
+                    std::panic::panic_any(NodePanic(90));
+                }
+            }
+        }
+        let graph = cycle(96);
+        for shards in [1, 2, 8] {
+            for chunk in [1, 96usize.div_ceil(shards)] {
+                let config = NetworkConfig::default().sharded(shards).chunk_size(chunk);
+                let mut network = Network::new(&graph, config, |_, _| Bomb).unwrap();
+                network.initialize().unwrap();
+                let payload =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| network.run_round()))
+                        .expect_err("node 90 panics in round 1");
+                assert_eq!(
+                    payload.downcast_ref::<NodePanic>(),
+                    Some(&NodePanic(90)),
+                    "at {shards} shards, chunk {chunk}"
                 );
             }
         }

@@ -104,7 +104,7 @@ pub mod transport;
 
 pub use checkpoint::{CheckpointHeader, NetworkCheckpoint, PendingEnvelope};
 pub use churn::{ChurnDriver, ChurnEvent, ChurnEventSpec, ChurnPlan, ScheduledChurn};
-pub use engine::{Network, NetworkConfig, Scheduling, DEFAULT_CHUNK_SIZE};
+pub use engine::{Network, NetworkConfig, DEFAULT_CHUNK_SIZE};
 pub use error::{RuntimeError, RuntimeResult};
 pub use fault::{CrashSchedule, FaultPlan, LinkCut, MessageFate};
 pub use knowledge::{InitialKnowledge, KnowledgeModel, Port};

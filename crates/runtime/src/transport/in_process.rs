@@ -6,16 +6,17 @@
 //! clears its mailbox — which the programs have already read — and
 //! `reserve_exact`s it to that count, so a mailbox is allocated once, in
 //! node order, at its exact size. The parallel path is the
-//! receiver-chunked bucket exchange described in `docs/PERF.md` §2.
+//! receiver-chunked bucket exchange described in `docs/PERF.md` §2; both
+//! of its steps hand their chunks to the engine's `claim_each` workers,
+//! the calling thread among them.
 
 use super::{BarrierOutcome, RoundBarrier, Transport};
+use crate::engine::claim_each;
 use crate::error::RuntimeResult;
 use crate::metrics::EdgeTally;
 use crate::node::{Envelope, Outgoing};
 use crate::trace::{Trace, TraceEvent};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Upper bound on dispatch chunks *per worker*: the chunk grid is
 /// coarsened until at most this many chunks per worker remain, so the
@@ -23,26 +24,6 @@ use std::sync::Mutex;
 /// however large the graph — while a 16-way-finer grid than one chunk per
 /// shard already caps any single hub chunk at ~1/16th of a worker's round.
 const DISPATCH_CHUNKS_PER_WORKER: usize = 16;
-
-/// One claimable unit of the route pass: a sender chunk's outboxes paired
-/// with its row of the chunk×chunk bucket matrix. Slots are `take`n
-/// exactly once off the claim cursor.
-type RouteQueue<'a, M> =
-    Vec<Mutex<Option<(&'a mut [Vec<Outgoing<M>>], &'a mut [Vec<Outgoing<M>>])>>>;
-
-/// One claimable unit of the delivery pass: `(first receiver index,
-/// receiver-chunk mailboxes, their incoming counts, that chunk's bucket
-/// column)`.
-type DeliveryQueue<'a, M> = Vec<
-    Mutex<
-        Option<(
-            usize,
-            &'a mut [Vec<Envelope<M>>],
-            &'a mut [usize],
-            &'a mut [Vec<Outgoing<M>>],
-        )>,
-    >,
->;
 
 /// The in-process delivery backend (the default `Network` transport).
 ///
@@ -144,16 +125,15 @@ impl<M> InProcessTransport<M> {
 
 impl<M: Send + Sync> InProcessTransport<M> {
     /// Receiver-chunked parallel delivery, as a two-step bucket exchange
-    /// over a chunk grid, with both steps claiming chunks off shared atomic
-    /// cursors — so a hub chunk's heavy column stalls one worker for one
-    /// chunk, not one shard for the whole barrier.
+    /// over a chunk grid, with both steps claiming chunks through
+    /// `claim_each` — so a hub chunk's heavy column stalls one worker for
+    /// one chunk, not one shard for the whole barrier.
     ///
     /// * The node range is split into `cols` chunks of `chunk` nodes: the
     ///   given `chunk_size`, coarsened until at most
     ///   [`DISPATCH_CHUNKS_PER_WORKER`] chunks per worker remain (the
     ///   bucket matrix is `cols²` and must stay cheap to transpose). A
-    ///   `chunk_size` of `⌈n/shards⌉` gives one chunk per shard, the static
-    ///   partition.
+    ///   `chunk_size` of `⌈n/shards⌉` gives one chunk per shard.
     /// * *Route* — a worker claims a sender chunk and drains its outboxes
     ///   into that chunk's bucket row, keyed by receiver chunk. Each bucket
     ///   is written by exactly one worker, in canonical (node, send) order.
@@ -187,35 +167,17 @@ impl<M: Send + Sync> InProcessTransport<M> {
             self.bucket_scratch.clear();
             self.bucket_scratch.resize_with(cols * cols, Vec::new);
         }
-        let workers = shards.min(cols);
 
-        // Route: claim sender chunks until the cursor runs dry.
-        let route_chunks: RouteQueue<'_, M> = outboxes
+        // Route: each sender chunk drains into its own bucket row.
+        let route_chunks: Vec<_> = outboxes
             .chunks_mut(chunk)
             .zip(self.buckets.chunks_mut(cols))
-            .map(|pair| Mutex::new(Some(pair)))
             .collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let cursor = &cursor;
-                let route_chunks = &route_chunks;
-                scope.spawn(move || loop {
-                    let claimed = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = route_chunks.get(claimed) else {
-                        break;
-                    };
-                    let (outboxes, row) = slot
-                        .lock()
-                        .expect("a chunk claim cannot be poisoned")
-                        .take()
-                        .expect("the cursor hands each chunk to exactly one worker");
-                    for outbox in outboxes {
-                        for outgoing in outbox.drain(..) {
-                            row[outgoing.receiver.index() / chunk].push(outgoing);
-                        }
-                    }
-                });
+        claim_each(shards, route_chunks, |_: &mut (), (outboxes, row)| {
+            for outbox in outboxes {
+                for outgoing in outbox.drain(..) {
+                    row[outgoing.receiver.index() / chunk].push(outgoing);
+                }
             }
         });
 
@@ -228,50 +190,36 @@ impl<M: Send + Sync> InProcessTransport<M> {
             }
         }
 
-        // Deliver: claim receiver chunks; each column drains in ascending
+        // Deliver: each receiver chunk drains its column in ascending
         // sender-chunk order.
         let tally = &self.tally;
-        let delivery_chunks: DeliveryQueue<'_, M> = mailboxes
+        let delivery_chunks: Vec<_> = mailboxes
             .chunks_mut(chunk)
             .zip(self.incoming.chunks_mut(chunk))
             .zip(self.bucket_scratch.chunks_mut(cols))
             .enumerate()
-            .map(|(slot, ((mailboxes, incoming), column))| {
-                Mutex::new(Some((slot * chunk, mailboxes, incoming, column)))
-            })
             .collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let cursor = &cursor;
-                let delivery_chunks = &delivery_chunks;
-                scope.spawn(move || loop {
-                    let claimed = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = delivery_chunks.get(claimed) else {
-                        break;
-                    };
-                    let (lo, mailboxes, incoming, column) = slot
-                        .lock()
-                        .expect("a chunk claim cannot be poisoned")
-                        .take()
-                        .expect("the cursor hands each chunk to exactly one worker");
-                    for outgoing in column.iter().flatten() {
-                        incoming[outgoing.receiver.index() - lo] += 1;
+        claim_each(
+            shards,
+            delivery_chunks,
+            |_: &mut (), (slot, ((mailboxes, incoming), column))| {
+                let lo = slot * chunk;
+                for outgoing in column.iter().flatten() {
+                    incoming[outgoing.receiver.index() - lo] += 1;
+                }
+                size_mailboxes(mailboxes, incoming);
+                for bucket in column {
+                    for outgoing in bucket.drain(..) {
+                        tally.add_shared(outgoing.edge.index(), outgoing.bytes);
+                        mailboxes[outgoing.receiver.index() - lo].push(Envelope {
+                            edge: outgoing.edge,
+                            from: outgoing.sender,
+                            payload: outgoing.payload,
+                        });
                     }
-                    size_mailboxes(mailboxes, incoming);
-                    for bucket in column {
-                        for outgoing in bucket.drain(..) {
-                            tally.add_shared(outgoing.edge.index(), outgoing.bytes);
-                            mailboxes[outgoing.receiver.index() - lo].push(Envelope {
-                                edge: outgoing.edge,
-                                from: outgoing.sender,
-                                payload: outgoing.payload,
-                            });
-                        }
-                    }
-                });
-            }
-        });
+                }
+            },
+        );
 
         // Back to row-major for the next round's route step.
         for sender in 0..cols {

@@ -73,12 +73,11 @@ pub struct RoundBarrier<'a, M> {
     /// a backend may ignore it and deliver serially).
     pub shards: usize,
     /// Target nodes per delivery chunk — like `shards`, a parallelism hint:
+    /// the engine's
     /// [`NetworkConfig::chunk_size`](crate::engine::NetworkConfig::chunk_size)
-    /// under [`Scheduling::Dynamic`](crate::engine::Scheduling::Dynamic),
-    /// `⌈owned/shards⌉` (one chunk per shard) under
-    /// [`Scheduling::Static`](crate::engine::Scheduling::Static). A backend
-    /// may clamp it (the in-process dispatch coarsens the grid so its
-    /// bucket matrix stays small — see `docs/PERF.md` §2) or ignore it.
+    /// (`⌈owned/shards⌉` gives one chunk per shard). A backend may clamp it
+    /// (the in-process dispatch coarsens the grid so its bucket matrix
+    /// stays small — see `docs/PERF.md` §2) or ignore it.
     pub chunk_size: usize,
     /// Whether this round must record trace events (canonical order).
     pub traced: bool,

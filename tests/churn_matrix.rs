@@ -549,25 +549,23 @@ fn matrix_grid_meets_the_acceptance_floor() {
 }
 
 /// The scheduling-parity row of the churn matrix: under the mixed churn
-/// stream combined with message faults, the work-stealing scheduler must
-/// reproduce the sequential engine and the static shard partition
-/// bit-for-bit — churn events are resolved in canonical order at the round
-/// barrier, before any worker claims a chunk, so the surviving topology is
-/// scheduler-blind too.
+/// stream combined with message faults, the chunked work-stealing engine
+/// must reproduce the sequential engine bit-for-bit, at 5-node chunks and
+/// at one contiguous range per shard — churn events are resolved in
+/// canonical order at the round barrier, before any worker claims a chunk,
+/// so the surviving topology is scheduler-blind too.
 #[test]
 fn churn_matrix_scheduling_parity() {
-    use freelunch::runtime::Scheduling;
     let graph = workloads().remove(0).1;
     let n = graph.node_count();
     let faults = FaultPlan::new(311)
         .with_drop_probability(0.1)
         .with_crash(NodeId::from_usize(n / 2), 3);
     let churn = mixed_plan(&graph);
-    let run = |shards: usize, sched: Scheduling| {
+    let run = |shards: usize, chunk: usize| {
         let config = NetworkConfig::with_seed(7)
             .sharded(shards)
-            .scheduling(sched)
-            .chunk_size(5);
+            .chunk_size(chunk);
         let mut network = Network::with_plans(
             &graph,
             config,
@@ -580,13 +578,13 @@ fn churn_matrix_scheduling_parity() {
         let error = network.run_until_halt(300).err().map(|e| e.to_string());
         observe(&network, error, LubyMis::state)
     };
-    let serial = run(1, Scheduling::Dynamic);
+    let serial = run(1, 5);
     for shards in [2, 8] {
-        for sched in [Scheduling::Dynamic, Scheduling::Static] {
+        for chunk in [5, n.div_ceil(shards)] {
             assert_eq!(
                 serial,
-                run(shards, sched),
-                "churned run differs at {shards} shards under {sched:?}"
+                run(shards, chunk),
+                "churned run differs at {shards} shards, chunk {chunk}"
             );
         }
     }

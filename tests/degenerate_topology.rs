@@ -4,16 +4,16 @@
 //! sweep pins `node_count ∈ {1, shards − 1, world − 1, world + 1}` plus
 //! edgeless graphs (every node isolated) and graphs with an isolated tail,
 //! across the in-process, mock and two-/four-rank TCP backends at shard
-//! counts 1, 2 and 8, under both scheduling modes and a pathological
-//! 1-node chunk size. A zero-node graph must be rejected up front by every
-//! constructor, never panic downstream.
+//! counts 1, 2 and 8, under a pathological 1-node chunk size, the default
+//! chunk size and one chunk per shard. A zero-node graph must be rejected
+//! up front by every constructor, never panic downstream.
 
 use freelunch::graph::generators::{path_graph, star_graph, GeneratorConfig};
 use freelunch::graph::{EdgeId, MultiGraph, NodeId};
 use freelunch::runtime::transport::{MockTransport, TcpConfig, TcpTransport};
 use freelunch::runtime::{
     Context, Envelope, ExecutionMetrics, FaultPlan, MessageLedger, Network, NetworkConfig,
-    NodeProgram, RuntimeError, Scheduling,
+    NodeProgram, RuntimeError,
 };
 use std::net::{SocketAddr, TcpListener};
 
@@ -157,19 +157,20 @@ fn degenerate_graphs_are_shard_sched_and_chunk_invariant() {
         let reference = in_process_run(&graph, NetworkConfig::with_seed(17));
         assert_eq!(reference.3, n, "{name}: wrong halted count at 1 shard");
         for shards in SHARD_COUNTS {
-            for sched in [Scheduling::Dynamic, Scheduling::Static] {
-                for chunk_size in [1, freelunch::runtime::DEFAULT_CHUNK_SIZE] {
-                    let config = NetworkConfig::with_seed(17)
-                        .sharded(shards)
-                        .scheduling(sched)
-                        .chunk_size(chunk_size);
-                    let run = in_process_run(&graph, config);
-                    let where_ = format!("{name}: {shards} shards, {sched:?}, chunk {chunk_size}");
-                    assert_eq!(reference.0, run.0, "{where_}: outputs differ");
-                    assert_eq!(reference.1, run.1, "{where_}: metrics differ");
-                    assert_eq!(reference.2, run.2, "{where_}: ledgers differ");
-                    assert_eq!(run.3, n, "{where_}: wrong halted count");
-                }
+            for chunk_size in [
+                1,
+                freelunch::runtime::DEFAULT_CHUNK_SIZE,
+                n.div_ceil(shards),
+            ] {
+                let config = NetworkConfig::with_seed(17)
+                    .sharded(shards)
+                    .chunk_size(chunk_size);
+                let run = in_process_run(&graph, config);
+                let where_ = format!("{name}: {shards} shards, chunk {chunk_size}");
+                assert_eq!(reference.0, run.0, "{where_}: outputs differ");
+                assert_eq!(reference.1, run.1, "{where_}: metrics differ");
+                assert_eq!(reference.2, run.2, "{where_}: ledgers differ");
+                assert_eq!(run.3, n, "{where_}: wrong halted count");
             }
         }
     }

@@ -25,7 +25,7 @@ use freelunch::graph::{MultiGraph, NodeId};
 use freelunch::runtime::transport::{MockTransport, TcpConfig, TcpTransport, WireCodec};
 use freelunch::runtime::{
     Context, Envelope, ExecutionMetrics, FaultPlan, InitialKnowledge, MessageLedger, Network,
-    NetworkConfig, NodeProgram, Scheduling, Trace, TraceMode, DEFAULT_CHUNK_SIZE,
+    NetworkConfig, NodeProgram, Trace, TraceMode, DEFAULT_CHUNK_SIZE,
 };
 use std::fmt::Debug;
 use std::net::{SocketAddr, TcpListener};
@@ -588,20 +588,19 @@ fn planner_reports_are_shard_and_trace_invariant() {
 }
 
 /// `SCHED_PARITY_SMOKE=1` shrinks the scheduling-parity grid (one
-/// workload, one shard count, one chunk size) for quick CI signal; the
-/// full grid runs under plain `cargo test`.
+/// workload, one shard count, the 7-node and one-range-per-shard chunk
+/// sizes) for quick CI signal; the full grid runs under plain `cargo test`.
 fn sched_smoke() -> bool {
     std::env::var_os("SCHED_PARITY_SMOKE").is_some()
 }
 
-/// The scheduling-parity rows of the matrix: the work-stealing scheduler
-/// (`Scheduling::Dynamic`, the default) and the static contiguous shard
-/// partition (`Scheduling::Static`, the pre-stealing engine) must both be
-/// bit-identical to the sequential engine — outputs, metrics, ledgers and
-/// traces — at every shard count and chunk size. The 7-node chunk forces
-/// real stealing (≈14 chunks race between the workers at n = 96); the
-/// default chunk collapses to one chunk per worker, pinning the
-/// boundary case where dynamic degenerates to the static partition.
+/// The scheduling-parity rows of the matrix: the chunked work-stealing
+/// engine must be bit-identical to the sequential engine — outputs,
+/// metrics, ledgers and traces — at every shard count and chunk size. The
+/// 7-node chunk forces real stealing (≈14 chunks race between the workers
+/// at n = 96); the default chunk collapses to one chunk per worker in the
+/// execute phase; `⌈n/shards⌉` gives one contiguous range per shard in
+/// both phases, the pre-stealing static partition.
 fn assert_sched_parity<P, O>(
     graph: &MultiGraph,
     seed: u64,
@@ -614,18 +613,12 @@ fn assert_sched_parity<P, O>(
     O: PartialEq + Debug,
 {
     let shard_counts: &[usize] = if sched_smoke() { &[2] } else { &SHARD_COUNTS };
-    let chunk_sizes: &[usize] = if sched_smoke() {
-        &[7]
-    } else {
-        &[7, DEFAULT_CHUNK_SIZE]
-    };
     for trace_mode in [TraceMode::Full, TraceMode::Off] {
-        let run = |shards: usize, sched: Scheduling, chunk: usize| {
+        let run = |shards: usize, chunk: usize| {
             let config = NetworkConfig::with_seed(seed)
                 .traced(100_000)
                 .trace_mode(trace_mode)
                 .sharded(shards)
-                .scheduling(sched)
                 .chunk_size(chunk);
             let mut network = Network::new(graph, config, factory).unwrap();
             network.run_until_halt(budget).unwrap();
@@ -637,19 +630,21 @@ fn assert_sched_parity<P, O>(
                 network.trace().clone(),
             )
         };
-        let serial = run(1, Scheduling::Dynamic, DEFAULT_CHUNK_SIZE);
+        let serial = run(1, DEFAULT_CHUNK_SIZE);
         for &shards in shard_counts {
-            for sched in [Scheduling::Dynamic, Scheduling::Static] {
-                for &chunk in chunk_sizes {
-                    let parallel = run(shards, sched, chunk);
-                    let where_ = format!(
-                        "{label}: {shards} shards, {sched:?}, chunk {chunk} ({trace_mode:?})"
-                    );
-                    assert_eq!(serial.0, parallel.0, "{where_}: outputs differ");
-                    assert_eq!(serial.1, parallel.1, "{where_}: metrics differ");
-                    assert_eq!(serial.2, parallel.2, "{where_}: ledgers differ");
-                    assert_eq!(serial.3, parallel.3, "{where_}: traces differ");
-                }
+            let one_range_per_shard = graph.node_count().div_ceil(shards);
+            let chunk_sizes = if sched_smoke() {
+                vec![7, one_range_per_shard]
+            } else {
+                vec![7, DEFAULT_CHUNK_SIZE, one_range_per_shard]
+            };
+            for chunk in chunk_sizes {
+                let parallel = run(shards, chunk);
+                let where_ = format!("{label}: {shards} shards, chunk {chunk} ({trace_mode:?})");
+                assert_eq!(serial.0, parallel.0, "{where_}: outputs differ");
+                assert_eq!(serial.1, parallel.1, "{where_}: metrics differ");
+                assert_eq!(serial.2, parallel.2, "{where_}: ledgers differ");
+                assert_eq!(serial.3, parallel.3, "{where_}: traces differ");
             }
         }
     }

@@ -603,15 +603,14 @@ fn matrix_grid_meets_the_acceptance_floor() {
 }
 
 /// The scheduling-parity row of the fault matrix: under the combined chaos
-/// adversary (drop + duplicate + reorder + crash + link cuts) the
-/// work-stealing scheduler must reproduce the sequential engine and the
-/// static shard partition bit-for-bit. Fault fates are resolved from a
-/// ChaCha stream keyed per message, so they cannot observe which worker
-/// stepped the sender — this row pins that the chunk-claiming order
-/// genuinely never leaks into fault resolution.
+/// adversary (drop + duplicate + reorder + crash + link cuts) the chunked
+/// work-stealing engine must reproduce the sequential engine bit-for-bit,
+/// at 5-node chunks and at one contiguous range per shard. Fault fates are
+/// resolved from a ChaCha stream keyed per message, so they cannot observe
+/// which worker stepped the sender — this row pins that the chunk-claiming
+/// order genuinely never leaks into fault resolution.
 #[test]
 fn fault_matrix_scheduling_parity() {
-    use freelunch::runtime::Scheduling;
     let graph = workloads().remove(0).1;
     let n = graph.node_count();
     let m = graph.edge_count();
@@ -623,11 +622,10 @@ fn fault_matrix_scheduling_parity() {
     for e in (0..m as u64).step_by(9) {
         plan = plan.with_link_cut(EdgeId::new(e), 2);
     }
-    let run = |shards: usize, sched: Scheduling| {
+    let run = |shards: usize, chunk: usize| {
         let config = NetworkConfig::with_seed(7)
             .sharded(shards)
-            .scheduling(sched)
-            .chunk_size(5);
+            .chunk_size(chunk);
         let mut network = Network::with_fault_plan(&graph, config, plan.clone(), |_, knowledge| {
             LubyMis::new(knowledge.degree())
         })
@@ -641,13 +639,13 @@ fn fault_matrix_scheduling_parity() {
             error,
         }
     };
-    let serial = run(1, Scheduling::Dynamic);
+    let serial = run(1, 5);
     for shards in [2, 8] {
-        for sched in [Scheduling::Dynamic, Scheduling::Static] {
+        for chunk in [5, n.div_ceil(shards)] {
             assert_eq!(
                 serial,
-                run(shards, sched),
-                "chaos run differs at {shards} shards under {sched:?}"
+                run(shards, chunk),
+                "chaos run differs at {shards} shards, chunk {chunk}"
             );
         }
     }
