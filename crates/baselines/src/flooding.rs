@@ -15,9 +15,9 @@
 
 use crate::error::{BaselineError, BaselineResult};
 use freelunch_core::planner::GraphStats;
-use freelunch_core::reduction::tlocal::{flood_on_subgraph_with_faults, BroadcastOutcome};
+use freelunch_core::reduction::tlocal::{flood_on_subgraph, BroadcastOutcome};
 use freelunch_graph::MultiGraph;
-use freelunch_runtime::{FaultPlan, MessageLedger};
+use freelunch_runtime::MessageLedger;
 use serde::{Deserialize, Serialize};
 
 /// Cost-model hook for the adaptive planner: the predicted message cost of
@@ -55,30 +55,12 @@ impl FloodingOutcome {
 ///
 /// Returns an error if the graph is empty.
 pub fn direct_flooding(graph: &MultiGraph, t: u32) -> BaselineResult<FloodingOutcome> {
-    direct_flooding_with_faults(graph, t, &FaultPlan::none())
-}
-
-/// [`direct_flooding`] subjected to a deterministic
-/// [`FaultPlan`] — the same plan type and
-/// fault-accounting convention as the runtime engine and the reduction
-/// schemes, so scheme-vs-baseline robustness comparisons are apples to
-/// apples. The empty plan reproduces [`direct_flooding`] exactly.
-///
-/// # Errors
-///
-/// Returns an error if the graph is empty or the plan's probabilities are
-/// invalid.
-pub fn direct_flooding_with_faults(
-    graph: &MultiGraph,
-    t: u32,
-    faults: &FaultPlan,
-) -> BaselineResult<FloodingOutcome> {
     if graph.node_count() == 0 {
         return Err(BaselineError::invalid_parameter(
             "the input graph has no nodes",
         ));
     }
-    let broadcast = flood_on_subgraph_with_faults(graph, graph.edge_ids(), t, faults)?;
+    let broadcast = flood_on_subgraph(graph, graph.edge_ids(), t)?;
     Ok(FloodingOutcome {
         naive_bound: 2 * u64::from(t) * graph.edge_count() as u64,
         broadcast,
@@ -134,23 +116,5 @@ mod tests {
         // Beyond t = 2 the law is an upper bound (the flood quiesces).
         let outcome = direct_flooding(&graph, 6).unwrap();
         assert!(predicted_direct_messages(&stats, 6) >= outcome.broadcast.cost.messages as f64);
-    }
-
-    #[test]
-    fn faulty_flooding_shares_the_fault_accounting_convention() {
-        let graph = connected_erdos_renyi(&GeneratorConfig::new(50, 2), 0.2).unwrap();
-        let clean = direct_flooding(&graph, 2).unwrap();
-        let empty = direct_flooding_with_faults(&graph, 2, &FaultPlan::none()).unwrap();
-        assert_eq!(clean, empty);
-        let plan = FaultPlan::new(17).with_drop_probability(0.5);
-        let faulty = direct_flooding_with_faults(&graph, 2, &plan).unwrap();
-        assert_eq!(
-            faulty,
-            direct_flooding_with_faults(&graph, 2, &plan).unwrap()
-        );
-        let totals = faulty.ledger().fault_totals();
-        assert!(totals.dropped > 0);
-        assert_eq!(totals.dropped, totals.dropped_random);
-        assert!(faulty.broadcast.cost.messages < clean.broadcast.cost.messages);
     }
 }

@@ -23,9 +23,7 @@
 use crate::error::{BaselineError, BaselineResult};
 use freelunch_graph::traversal::ball;
 use freelunch_graph::MultiGraph;
-use freelunch_runtime::{
-    edge_slot_count, CostReport, FaultCause, FaultPlan, MessageFate, MessageLedger,
-};
+use freelunch_runtime::{edge_slot_count, CostReport, MessageLedger};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -70,58 +68,19 @@ impl GossipBroadcast {
     ///
     /// # Errors
     ///
-    /// Returns an error if the graph is empty or `t` leaves nothing to do on
-    /// a disconnected node.
+    /// Returns an error if the graph is empty.
     pub fn run(&self, graph: &MultiGraph, t: u32, seed: u64) -> BaselineResult<GossipOutcome> {
-        self.run_with_faults(graph, t, seed, &FaultPlan::none())
-    }
-
-    /// [`GossipBroadcast::run`] subjected to a deterministic
-    /// [`FaultPlan`] — the same plan type (and ledger fault column) as the
-    /// runtime engine and the schemes.
-    ///
-    /// Fault semantics of the push–pull process: a node crashed at round `r`
-    /// neither initiates exchanges nor answers them from round `r` on (its
-    /// partner's push is dropped as a crash drop and no pull comes back); an
-    /// exchange over a cut link loses both directions; each surviving
-    /// direction is independently dropped/duplicated through the keyed
-    /// ChaCha stream. The `t`-local broadcast specification is evaluated
-    /// over the *surviving* nodes only: pairs whose holder or source ever
-    /// crashes are excluded from the completion target (tokens of crashed
-    /// sources may be unreachable, and callers should bound
-    /// [`GossipBroadcast::max_rounds`] when disconnection is possible).
-    /// Delivery perturbation is a no-op — an exchange merges full bitsets,
-    /// so arrival order cannot matter.
-    ///
-    /// The empty plan reproduces [`GossipBroadcast::run`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the graph is empty or the plan's probabilities
-    /// are invalid.
-    pub fn run_with_faults(
-        &self,
-        graph: &MultiGraph,
-        t: u32,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> BaselineResult<GossipOutcome> {
         let n = graph.node_count();
         if n == 0 {
             return Err(BaselineError::invalid_parameter(
                 "the input graph has no nodes",
             ));
         }
-        faults
-            .validate()
-            .map_err(BaselineError::invalid_parameter)?;
-        let faulty = faults.affects_messages();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
         // Target knowledge: holder -> set of sources it must eventually hold.
-        // Stored as a bitset per node; missing[v] counts how many required
-        // tokens v still lacks. Pairs involving a node that ever crashes are
-        // excluded — the specification is evaluated on the survivors.
+        // Stored as a bitset per node; `missing_total` counts the required
+        // (holder, source) pairs not yet known.
         let words = n.div_ceil(64);
         let mut required = vec![0u64; n * words];
         let mut known = vec![0u64; n * words];
@@ -129,13 +88,7 @@ impl GossipBroadcast {
         // One frozen view serves all n single-source ball queries.
         let frozen = graph.freeze();
         for source in graph.nodes() {
-            if faulty && faults.crash_round(source).is_some() {
-                continue;
-            }
             for holder in ball(&frozen, source, t)? {
-                if faulty && faults.crash_round(holder).is_some() {
-                    continue;
-                }
                 let idx = holder.index() * words + source.index() / 64;
                 let mask = 1u64 << (source.index() % 64);
                 if required[idx] & mask == 0 {
@@ -160,59 +113,24 @@ impl GossipBroadcast {
         let mut rounds = 0u64;
         while missing_total > 0 && rounds < u64::from(self.max_rounds) {
             rounds += 1;
-            let round = u32::try_from(rounds).unwrap_or(u32::MAX);
             ledger.start_round();
             // Each node picks one random incident edge and exchanges full
             // knowledge with the neighbor (push-pull: 2 messages per node
             // with at least one incident edge). Nodes are scanned in
             // ascending order, so the ledger accumulation is canonical.
-            // Delivered directions are collected as `(src, dst)` transfers
-            // and applied after the scan, exactly as the clean process does.
+            // Both directions are collected as `(src, dst)` transfers and
+            // applied after the scan, in scan order.
             let mut transfers: Vec<(usize, usize)> = Vec::with_capacity(2 * n);
             for v in graph.nodes() {
-                if faulty && faults.crashed_at(v, round) {
-                    continue;
-                }
                 let incident = graph.incident_edges(v);
                 if incident.is_empty() {
                     continue;
                 }
                 let pick = incident[rng.gen_range(0..incident.len())];
                 let partner = pick.neighbor;
-                if faulty && faults.link_cut_at(pick.edge, round) {
-                    // The exchange dies on the cut link: push and pull both.
-                    ledger.record_dropped(FaultCause::LinkCut);
-                    ledger.record_dropped(FaultCause::LinkCut);
-                    continue;
-                }
-                if faulty && faults.crashed_at(partner, round) {
-                    // The push reaches a dead node; no pull comes back (the
-                    // never-sent pull is not a message, so only one drop).
-                    ledger.record_dropped(FaultCause::Crash);
-                    continue;
-                }
-                // Push v → partner (msg_index 0), pull partner → v
-                // (msg_index 1, keyed to the *pull sender* so it cannot
-                // collide with an exchange the partner itself initiates).
-                for (src, dst, msg_index) in [(v, partner, 0u32), (partner, v, 1u32)] {
-                    let fate = if faulty {
-                        faults.message_fate(round, pick.edge, src, msg_index)
-                    } else {
-                        MessageFate::Deliver
-                    };
-                    match fate {
-                        MessageFate::Drop => ledger.record_dropped(FaultCause::Random),
-                        MessageFate::Duplicate => {
-                            ledger.record_duplicated();
-                            ledger.record_edge(pick.edge, exchange_bytes);
-                            ledger.record_edge(pick.edge, exchange_bytes);
-                            transfers.push((src.index(), dst.index()));
-                        }
-                        MessageFate::Deliver => {
-                            ledger.record_edge(pick.edge, exchange_bytes);
-                            transfers.push((src.index(), dst.index()));
-                        }
-                    }
+                for (src, dst) in [(v, partner), (partner, v)] {
+                    ledger.record_edge(pick.edge, exchange_bytes);
+                    transfers.push((src.index(), dst.index()));
                 }
             }
             for (src, dst) in transfers {
@@ -244,20 +162,6 @@ impl GossipBroadcast {
 /// Convenience constructor: a gossip broadcast with the default round cap.
 pub fn gossip_broadcast(graph: &MultiGraph, t: u32, seed: u64) -> BaselineResult<GossipOutcome> {
     GossipBroadcast::default().run(graph, t, seed)
-}
-
-/// Convenience constructor: a fault-injected gossip broadcast with the given
-/// round cap (callers should keep the cap tight — faults can make the
-/// surviving-node specification unreachable, in which case the process runs
-/// until the cap and reports `completed: false`).
-pub fn gossip_broadcast_with_faults(
-    graph: &MultiGraph,
-    t: u32,
-    seed: u64,
-    faults: &FaultPlan,
-    max_rounds: u32,
-) -> BaselineResult<GossipOutcome> {
-    GossipBroadcast { max_rounds }.run_with_faults(graph, t, seed, faults)
 }
 
 #[cfg(test)]
@@ -317,61 +221,6 @@ mod tests {
         assert!(ledger.max_congestion() >= 2 && ledger.max_congestion() <= 4);
         // Slot 0 (initialization) is silent for the emulated process.
         assert_eq!(ledger.messages_per_round()[0], 0);
-    }
-
-    #[test]
-    fn empty_fault_plan_reproduces_the_clean_gossip() {
-        let graph = connected_erdos_renyi(&GeneratorConfig::new(60, 3), 0.2).unwrap();
-        let clean = gossip_broadcast(&graph, 2, 7).unwrap();
-        let empty = GossipBroadcast::default()
-            .run_with_faults(&graph, 2, 7, &FaultPlan::none())
-            .unwrap();
-        assert_eq!(clean, empty);
-    }
-
-    #[test]
-    fn faulty_gossip_replays_and_attributes_drops() {
-        use freelunch_graph::NodeId;
-        let graph = connected_erdos_renyi(&GeneratorConfig::new(60, 3), 0.2).unwrap();
-        let plan = FaultPlan::new(23)
-            .with_drop_probability(0.3)
-            .with_crash(NodeId::new(5), 0);
-        let run = || gossip_broadcast_with_faults(&graph, 2, 7, &plan, 500).unwrap();
-        let outcome = run();
-        assert_eq!(outcome, run());
-        let totals = outcome.ledger.fault_totals();
-        assert!(totals.dropped_random > 0);
-        // The crashed node's partners lose their pushes into it.
-        assert!(totals.dropped_crash > 0);
-        // Bytes still track delivered messages exactly.
-        let words = graph.node_count().div_ceil(64) as u64;
-        assert_eq!(
-            outcome.ledger.total_bytes(),
-            outcome.cost.messages * 8 * words
-        );
-    }
-
-    #[test]
-    fn fully_cut_star_cannot_complete_and_respects_the_cap() {
-        use freelunch_graph::{EdgeId, NodeId};
-        // Star of 4: cutting every edge from round 1 makes progress
-        // impossible; the run must stop at the cap, incomplete.
-        let mut graph = MultiGraph::new(4);
-        for v in 1..4u32 {
-            graph.add_edge(NodeId::new(0), NodeId::new(v)).unwrap();
-        }
-        let mut plan = FaultPlan::new(1);
-        for e in 0..3u64 {
-            plan = plan.with_link_cut(EdgeId::new(e), 1);
-        }
-        let outcome = gossip_broadcast_with_faults(&graph, 1, 3, &plan, 10).unwrap();
-        assert!(!outcome.completed);
-        assert_eq!(outcome.cost.rounds, 10);
-        assert_eq!(outcome.cost.messages, 0);
-        let totals = outcome.ledger.fault_totals();
-        // Every attempted exchange died on a cut link (2 drops each).
-        assert_eq!(totals.dropped, totals.dropped_link_cut);
-        assert_eq!(totals.dropped, 2 * 4 * 10);
     }
 
     #[test]

@@ -25,11 +25,10 @@
 //! exposes a phase-attributed [`Ledger`](crate::ledger::Ledger) with the
 //! measured free-lunch ratio — see `docs/METRICS.md` for the contract.
 //!
-//! Every emulated path also accepts a deterministic
-//! [`FaultPlan`](freelunch_runtime::fault::FaultPlan) through its
-//! `*_with_faults` / `*_under_faults` variants, so robustness comparisons
-//! against the baselines share one fault-accounting convention — see
-//! `docs/METRICS.md` §6.
+//! The emulated paths (the floods and the cost emulations) are
+//! failure-free, like the executions the paper's results concern. A
+//! [`FaultPlan`](freelunch_runtime::fault::FaultPlan) acts only on
+//! executions of the runtime engine — see `docs/METRICS.md` §6.
 
 pub mod scheme;
 pub mod simulate;
@@ -37,9 +36,8 @@ pub mod tlocal;
 pub mod two_stage;
 
 pub use scheme::{SamplerScheme, SchemeReport};
-pub use simulate::{simulate_with_spanner, simulate_with_spanner_under_faults, SimulationReport};
+pub use simulate::{simulate_with_spanner, SimulationReport};
 pub use tlocal::{
-    flood_on_subgraph, flood_on_subgraph_routed, flood_on_subgraph_with_faults, t_local_broadcast,
-    t_local_broadcast_routed, t_local_broadcast_with_faults, BroadcastOutcome, FloodRouting,
+    flood_on_subgraph, flood_on_subgraph_routed, t_local_broadcast, BroadcastOutcome, FloodRouting,
 };
 pub use two_stage::{TwoStageReport, TwoStageScheme};

@@ -15,13 +15,11 @@
 //!    `v`, re-running the algorithm on the subgraph containing only the
 //!    edges incident to `B_{G,t}(v)` reproduces `v`'s output exactly.
 
-use super::tlocal::t_local_broadcast_with_faults;
+use super::tlocal::t_local_broadcast;
 use crate::error::CoreResult;
 use freelunch_graph::traversal::ball;
 use freelunch_graph::{EdgeId, MultiGraph, NodeId};
-use freelunch_runtime::{
-    CostReport, FaultPlan, InitialKnowledge, Network, NetworkConfig, NodeProgram,
-};
+use freelunch_runtime::{CostReport, InitialKnowledge, Network, NetworkConfig, NodeProgram};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -116,79 +114,18 @@ where
     F: Fn(NodeId, &InitialKnowledge) -> P,
     O: PartialEq,
 {
-    simulate_with_spanner_under_faults(
-        graph,
-        spanner_edges,
-        spanner_stretch,
-        spanner_cost,
-        t,
-        config,
-        &FaultPlan::none(),
-        factory,
-        output,
-        check_nodes,
-    )
-}
-
-/// [`simulate_with_spanner`] with the whole pipeline subjected to one
-/// deterministic [`FaultPlan`]: the same plan is installed on the direct
-/// reference execution (via
-/// [`Network::with_fault_plan`]) *and* on the spanner broadcast (via the
-/// fault-aware flood), so the scheme and the execution it competes with
-/// degrade under identical adversity and report through the same
-/// fault-accounting column.
-///
-/// Ball-sufficiency verification is only meaningful for failure-free runs
-/// (a ball-local re-execution sees different faults than the full-graph
-/// one), so under a non-empty plan it is skipped:
-/// [`SimulationReport::nodes_checked`] is 0 regardless of `check_nodes`.
-///
-/// # Errors
-///
-/// Propagates runtime, graph and plan-validation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_with_spanner_under_faults<P, F, O>(
-    graph: &MultiGraph,
-    spanner_edges: &[EdgeId],
-    spanner_stretch: u32,
-    spanner_cost: CostReport,
-    t: u32,
-    config: NetworkConfig,
-    faults: &FaultPlan,
-    factory: F,
-    output: impl Fn(&P) -> O,
-    check_nodes: usize,
-) -> CoreResult<SimulationReport>
-where
-    P: NodeProgram,
-    F: Fn(NodeId, &InitialKnowledge) -> P,
-    O: PartialEq,
-{
-    // Reference execution on the full graph, under the same fault plan.
-    let mut direct = Network::with_fault_plan(graph, config, faults.clone(), |node, knowledge| {
-        factory(node, knowledge)
-    })?;
+    // Reference execution on the full graph.
+    let mut direct = Network::new(graph, config, |node, knowledge| factory(node, knowledge))?;
     direct.run_rounds(t)?;
     let direct_cost = direct.cost();
     let direct_outputs: Vec<O> = direct.programs().iter().map(&output).collect();
 
     // The message-reduced execution: t-local broadcast on the spanner.
-    let broadcast = t_local_broadcast_with_faults(
-        graph,
-        spanner_edges.iter().copied(),
-        t,
-        spanner_stretch,
-        faults,
-    )?;
+    let broadcast = t_local_broadcast(graph, spanner_edges.iter().copied(), t, spanner_stretch)?;
 
-    // Ball-sufficiency verification on an evenly spread sample of nodes
-    // (skipped under faults — see the doc comment).
+    // Ball-sufficiency verification on an evenly spread sample of nodes.
     let n = graph.node_count();
-    let to_check = if faults.is_empty() {
-        check_nodes.min(n)
-    } else {
-        0
-    };
+    let to_check = check_nodes.min(n);
     let mut mismatches = 0usize;
     // `checked_div` is `None` exactly when `to_check == 0`, i.e. when the
     // caller asked for no verification samples.
@@ -314,63 +251,6 @@ mod tests {
         .unwrap();
         assert!(good.outputs_match());
         assert_eq!(good.nodes_checked, graph.node_count());
-    }
-
-    #[test]
-    fn faulty_simulation_meters_both_sides_and_skips_ball_checks() {
-        let graph = connected_erdos_renyi(&GeneratorConfig::new(50, 2), 0.3).unwrap();
-        let spanner: Vec<EdgeId> = graph.edge_ids().collect();
-        let faults = FaultPlan::new(13).with_drop_probability(0.3);
-        let run = || {
-            simulate_with_spanner_under_faults(
-                &graph,
-                &spanner,
-                1,
-                CostReport::zero(),
-                2,
-                NetworkConfig::with_seed(5),
-                &faults,
-                |node, _| MinWithin { best: node.raw() },
-                |p| p.best,
-                10,
-            )
-            .unwrap()
-        };
-        let report = run();
-        // Ball verification is skipped under a non-empty plan.
-        assert_eq!(report.nodes_checked, 0);
-        assert_eq!(report.mismatches, 0);
-        // The same scenario replays bit-identically.
-        assert_eq!(report, run());
-        // An empty plan is exactly the clean entry point.
-        let clean = simulate_with_spanner(
-            &graph,
-            &spanner,
-            1,
-            CostReport::zero(),
-            2,
-            NetworkConfig::with_seed(5),
-            |node, _| MinWithin { best: node.raw() },
-            |p| p.best,
-            10,
-        )
-        .unwrap();
-        let empty = simulate_with_spanner_under_faults(
-            &graph,
-            &spanner,
-            1,
-            CostReport::zero(),
-            2,
-            NetworkConfig::with_seed(5),
-            &FaultPlan::none(),
-            |node, _| MinWithin { best: node.raw() },
-            |p| p.best,
-            10,
-        )
-        .unwrap();
-        assert_eq!(clean, empty);
-        // Dropped messages shrink the measured direct traffic.
-        assert!(report.direct_cost.messages < clean.direct_cost.messages);
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //! (a bundle of) newly learned tokens over its incident spanner edges once
 //! per round, so at most `2·|S|` messages fly per round and the whole task
 //! costs at most `2·α·t·|S|` messages — independent of `|E|`.
+//!
+//! The flood is failure-free, like the paper's executions: a
+//! [`FaultPlan`](freelunch_runtime::FaultPlan) acts only at the engine's
+//! round barrier (`docs/METRICS.md` §6).
 
 use crate::error::{CoreError, CoreResult};
 use freelunch_graph::traversal::ball;
-use freelunch_graph::{EdgeId, MultiGraph, NodeId};
-use freelunch_runtime::{
-    edge_slot_count, CostReport, FaultCause, FaultPlan, MessageFate, MessageLedger,
-};
+use freelunch_graph::{EdgeId, IncidentEdge, MultiGraph, NodeId};
+use freelunch_runtime::{edge_slot_count, CostReport, MessageLedger};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Wire size charged per token in a bundled flooding message (tokens are
 /// node IDs, serialized as `u32`). See `docs/METRICS.md` for the sizing
@@ -23,7 +26,7 @@ use serde::{Deserialize, Serialize};
 pub const TOKEN_BYTES: u64 = 4;
 
 /// A dense `n × n` bit matrix: row `v` records which tokens node `v` knows.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct BitMatrix {
     words_per_row: usize,
     data: Vec<u64>,
@@ -44,6 +47,10 @@ impl BitMatrix {
         let was_set = self.data[word] & mask != 0;
         self.data[word] |= mask;
         !was_set
+    }
+
+    fn get(&self, row: usize, column: usize) -> bool {
+        self.data[row * self.words_per_row + column / 64] & (1u64 << (column % 64)) != 0
     }
 
     fn count_row(&self, row: usize) -> usize {
@@ -74,25 +81,15 @@ pub struct BroadcastOutcome {
     /// always equals [`BroadcastOutcome::cost`].
     pub ledger: MessageLedger,
     #[serde(skip)]
-    known: Option<KnownTokens>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct KnownTokens {
-    words_per_row: usize,
-    data: Vec<u64>,
+    known: Option<BitMatrix>,
 }
 
 impl BroadcastOutcome {
     /// Returns `true` if node `holder` ended up with the token of `source`.
     pub fn holds_token(&self, holder: NodeId, source: NodeId) -> bool {
-        match &self.known {
-            Some(known) => {
-                let word = holder.index() * known.words_per_row + source.index() / 64;
-                known.data[word] & (1u64 << (source.index() % 64)) != 0
-            }
-            None => false,
-        }
+        self.known
+            .as_ref()
+            .is_some_and(|known| known.get(holder.index(), source.index()))
     }
 
     /// Verifies the `t`-local broadcast specification: for every node `v`
@@ -120,7 +117,8 @@ impl BroadcastOutcome {
 /// Floods every node's token through the subgraph spanned by `subgraph_edges`
 /// for exactly `radius` rounds, counting messages exactly: a node that
 /// learned at least one new token in the previous round sends one (bundled)
-/// message over each of its subgraph edges.
+/// message over each of its subgraph edges. This is
+/// [`flood_on_subgraph_routed`] under [`FloodRouting::PerEdge`].
 ///
 /// # Errors
 ///
@@ -130,45 +128,88 @@ pub fn flood_on_subgraph(
     subgraph_edges: impl IntoIterator<Item = EdgeId>,
     radius: u32,
 ) -> CoreResult<BroadcastOutcome> {
-    flood_on_subgraph_with_faults(graph, subgraph_edges, radius, &FaultPlan::none())
+    flood_on_subgraph_routed(graph, subgraph_edges, radius, FloodRouting::PerEdge)
 }
 
-/// [`flood_on_subgraph`] subjected to a deterministic
-/// [`FaultPlan`] — the same plan type (and accounting convention) the
-/// synchronous runtime accepts, so scheme-vs-baseline robustness
-/// comparisons are metered identically on both sides.
+/// How the flood assigns a token bundle to an edge when several parallel
+/// edges join the sender to the same neighbor.
 ///
-/// Fault semantics of the emulated flood: a node crashed at round `r`
-/// neither sends nor receives from round `r` on (rounds are 1-based here,
-/// matching the ledger's round slots; crash round 0 means the node never
-/// participates); a cut link silently discards both directions; drops and
-/// duplications are resolved per message from the plan's keyed ChaCha
-/// stream with `msg_index = 0` (the flood sends at most one bundle per
-/// edge direction per round). Dropped bundles transfer no tokens and are
-/// attributed in the ledger's fault column; duplicated bundles are charged
-/// twice but transfer the same tokens (token union is idempotent).
-/// Delivery perturbation is a no-op for the flood — it is order-insensitive
-/// by construction.
+/// On simple graphs all three policies produce bit-identical outcomes (every
+/// parallel class has size 1, so there is nothing to choose); they differ
+/// only on multigraphs — e.g. spanners retaining parallel capacity links, or
+/// workloads provisioned with bonded edges on high-traffic links.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FloodRouting {
+    /// One bundle per *incident edge*: parallel edges each carry a copy.
+    /// This is the [`flood_on_subgraph`] behavior (and the paper's
+    /// `2·|S|`-messages-per-round accounting, with `|S|` counting
+    /// multiplicity).
+    PerEdge,
+    /// One bundle per *distinct neighbor*, always carried by the
+    /// lowest-`EdgeId` edge of the parallel class. The deterministic
+    /// first-edge baseline that congestion-aware routing is measured
+    /// against.
+    Canonical,
+    /// One bundle per *distinct neighbor*, spread across the parallel class
+    /// round-robin (with a direction-dependent offset, so for classes of
+    /// size ≥ 2 the two directions never share an edge in a round). Sends
+    /// exactly the same bundles as [`FloodRouting::Canonical`] — same total
+    /// message count, same knowledge evolution — but its per-round maximum
+    /// edge congestion is pointwise ≤ canonical's. See `docs/PLANNER.md`
+    /// for the guarantee and the measured tail effect.
+    CongestionAware,
+}
+
+/// The flood under an explicit [`FloodRouting`] policy.
 ///
-/// The empty plan reproduces [`flood_on_subgraph`] exactly.
+/// [`FloodRouting::PerEdge`] sends one bundle per incident edge. The two
+/// neighbor-routed policies ([`FloodRouting::Canonical`] and
+/// [`FloodRouting::CongestionAware`]) send one bundle per (sender, distinct
+/// neighbor) pair per active round; they share message totals, byte totals,
+/// round activity, and token knowledge with each other — only the per-edge
+/// distribution (and hence the congestion column) differs. Every policy's
+/// cost is charged to the same phase accounting (callers wrap the returned
+/// [`BroadcastOutcome::cost`] in [`crate::ledger::Ledger::for_tlocal`]).
 ///
 /// # Errors
 ///
-/// Returns an error if any edge ID is unknown, the graph is empty, or the
-/// plan's probabilities are invalid.
-pub fn flood_on_subgraph_with_faults(
+/// Returns an error if any edge ID is unknown or the graph is empty.
+pub fn flood_on_subgraph_routed(
     graph: &MultiGraph,
     subgraph_edges: impl IntoIterator<Item = EdgeId>,
     radius: u32,
-    faults: &FaultPlan,
+    routing: FloodRouting,
 ) -> CoreResult<BroadcastOutcome> {
-    let n = graph.node_count();
-    if n == 0 {
+    if graph.node_count() == 0 {
         return Err(CoreError::invalid_parameter("the graph has no nodes"));
     }
-    faults.validate().map_err(CoreError::invalid_parameter)?;
-    let faulty = faults.affects_messages();
     let subgraph = graph.edge_subgraph(subgraph_edges)?;
+    Ok(flood(&subgraph, radius, routing))
+}
+
+/// The flood's round loop on the subgraph itself. It is not generic over
+/// the callers' edge iterators, so every caller runs one compiled copy of
+/// the loop; a copy per iterator type ran the spanner flood of perfbench's
+/// `simulate-dense` measurably slower than the direct flood's copy.
+fn flood(subgraph: &MultiGraph, radius: u32, routing: FloodRouting) -> BroadcastOutcome {
+    let n = subgraph.node_count();
+    // Each node's links in serving order. `PerEdge` serves the incidence
+    // list as it is, one bundle per edge; the neighbor-routed policies sort
+    // it by (neighbor, edge ID), so each parallel class is one run and gets
+    // one bundle. Built once; deterministic by construction.
+    let per_class = routing != FloodRouting::PerEdge;
+    let links: Vec<Cow<'_, [IncidentEdge]>> = subgraph
+        .nodes()
+        .map(|v| {
+            let incident = subgraph.incident_edges(v);
+            if !per_class {
+                return Cow::Borrowed(incident);
+            }
+            let mut sorted = incident.to_vec();
+            sorted.sort_unstable_by_key(|ie| (ie.neighbor.index(), ie.edge.index()));
+            Cow::Owned(sorted)
+        })
+        .collect();
 
     let mut known = BitMatrix::new(n);
     let mut fresh: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -188,177 +229,25 @@ pub fn flood_on_subgraph_with_faults(
             if fresh_v.is_empty() {
                 continue;
             }
-            let sender = NodeId::from_usize(v);
-            if faulty && faults.crashed_at(sender, round) {
-                continue;
-            }
-            let incident = subgraph.incident_edges(sender);
-            // One bundled message per incident subgraph edge, sized as the
-            // number of bundled tokens.
+            // One bundled message per link, sized as the number of bundled
+            // tokens.
             let bundle_bytes = TOKEN_BYTES * fresh_v.len() as u64;
-            for ie in incident {
-                if faulty {
-                    if faults.link_cut_at(ie.edge, round) {
-                        ledger.record_dropped(FaultCause::LinkCut);
-                        continue;
-                    }
-                    if faults.crashed_at(ie.neighbor, round) {
-                        ledger.record_dropped(FaultCause::Crash);
-                        continue;
-                    }
-                    match faults.message_fate(round, ie.edge, sender, 0) {
-                        MessageFate::Drop => {
-                            ledger.record_dropped(FaultCause::Random);
-                            continue;
-                        }
-                        MessageFate::Duplicate => {
-                            // The duplicate crosses the edge too; the token
-                            // union it re-delivers is idempotent.
-                            ledger.record_duplicated();
-                            ledger.record_edge(ie.edge, bundle_bytes);
-                        }
-                        MessageFate::Deliver => {}
-                    }
-                }
-                ledger.record_edge(ie.edge, bundle_bytes);
-                let u = ie.neighbor.index();
-                for &token in fresh_v {
-                    if known.set(u, token as usize) {
-                        next_fresh[u].push(token);
-                    }
-                }
-            }
-        }
-        fresh = next_fresh;
-    }
-
-    let tokens_received = (0..n).map(|v| known.count_row(v)).collect();
-    Ok(BroadcastOutcome {
-        cost: ledger.summary(),
-        radius,
-        tokens_received,
-        subgraph_edges: subgraph.edge_count(),
-        known: Some(KnownTokens {
-            words_per_row: known.words_per_row,
-            data: known.data,
-        }),
-        ledger,
-    })
-}
-
-/// How the flood assigns a token bundle to an edge when several parallel
-/// edges join the sender to the same neighbor.
-///
-/// On simple graphs all three policies produce bit-identical outcomes (every
-/// parallel class has size 1, so there is nothing to choose); they differ
-/// only on multigraphs — e.g. spanners retaining parallel capacity links, or
-/// workloads provisioned with bonded edges on high-traffic links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FloodRouting {
-    /// One bundle per *incident edge*: parallel edges each carry a copy.
-    /// This is the historical [`flood_on_subgraph`] behavior (and the
-    /// paper's `2·|S|`-messages-per-round accounting, with `|S|` counting
-    /// multiplicity).
-    PerEdge,
-    /// One bundle per *distinct neighbor*, always carried by the
-    /// lowest-`EdgeId` edge of the parallel class. The deterministic
-    /// first-edge baseline that congestion-aware routing is measured
-    /// against.
-    Canonical,
-    /// One bundle per *distinct neighbor*, spread across the parallel class
-    /// round-robin (with a direction-dependent offset, so for classes of
-    /// size ≥ 2 the two directions never share an edge in a round). Sends
-    /// exactly the same bundles as [`FloodRouting::Canonical`] — same total
-    /// message count, same knowledge evolution — but its per-round maximum
-    /// edge congestion is pointwise ≤ canonical's. See `docs/PLANNER.md`
-    /// for the guarantee and the measured tail effect.
-    CongestionAware,
-}
-
-/// [`flood_on_subgraph`] under an explicit [`FloodRouting`] policy.
-///
-/// [`FloodRouting::PerEdge`] reproduces [`flood_on_subgraph`] exactly. The
-/// two neighbor-routed policies ([`FloodRouting::Canonical`] and
-/// [`FloodRouting::CongestionAware`]) send one bundle per (sender, distinct
-/// neighbor) pair per active round; they share message totals, byte totals,
-/// round activity, and token knowledge with each other — only the per-edge
-/// distribution (and hence the congestion column) differs. The routed
-/// flood's cost is charged to the same phase accounting as the canonical
-/// flood (callers wrap the returned [`BroadcastOutcome::cost`] in
-/// [`crate::ledger::Ledger::for_tlocal`] exactly as before).
-///
-/// # Errors
-///
-/// Returns an error if any edge ID is unknown or the graph is empty.
-pub fn flood_on_subgraph_routed(
-    graph: &MultiGraph,
-    subgraph_edges: impl IntoIterator<Item = EdgeId>,
-    radius: u32,
-    routing: FloodRouting,
-) -> CoreResult<BroadcastOutcome> {
-    if routing == FloodRouting::PerEdge {
-        return flood_on_subgraph(graph, subgraph_edges, radius);
-    }
-    let n = graph.node_count();
-    if n == 0 {
-        return Err(CoreError::invalid_parameter("the graph has no nodes"));
-    }
-    let subgraph = graph.edge_subgraph(subgraph_edges)?;
-
-    // Group each node's incident subgraph edges by neighbor, the parallel
-    // classes sorted by edge ID. Built once; deterministic by construction.
-    let mut classes: Vec<Vec<(NodeId, Vec<EdgeId>)>> = Vec::with_capacity(n);
-    for v in subgraph.nodes() {
-        let mut incident: Vec<(NodeId, EdgeId)> = subgraph
-            .incident_edges(v)
-            .iter()
-            .map(|ie| (ie.neighbor, ie.edge))
-            .collect();
-        incident.sort_unstable_by_key(|&(u, e)| (u.index(), e.index()));
-        let mut grouped: Vec<(NodeId, Vec<EdgeId>)> = Vec::new();
-        for (u, e) in incident {
-            match grouped.last_mut() {
-                Some((last, edges)) if *last == u => edges.push(e),
-                _ => grouped.push((u, vec![e])),
-            }
-        }
-        classes.push(grouped);
-    }
-
-    let mut known = BitMatrix::new(n);
-    let mut fresh: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (v, fresh_v) in fresh.iter_mut().enumerate() {
-        known.set(v, v);
-        fresh_v.push(v as u32);
-    }
-
-    let mut ledger = MessageLedger::new(edge_slot_count(subgraph.edge_ids()));
-    for round in 1..=radius {
-        ledger.start_round();
-        let mut next_fresh: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (v, fresh_v) in fresh.iter().enumerate() {
-            if fresh_v.is_empty() {
-                continue;
-            }
-            let bundle_bytes = TOKEN_BYTES * fresh_v.len() as u64;
-            for (neighbor, parallel) in &classes[v] {
+            for class in links[v].chunk_by(|a, b| per_class && a.neighbor == b.neighbor) {
+                let neighbor = class[0].neighbor.index();
                 let carrier = match routing {
-                    FloodRouting::PerEdge => unreachable!("handled above"),
-                    FloodRouting::Canonical => parallel[0],
+                    FloodRouting::PerEdge | FloodRouting::Canonical => class[0].edge,
                     FloodRouting::CongestionAware => {
                         // Round-robin over the class; the higher-ID endpoint
                         // starts one slot ahead, so classes of size ≥ 2 never
                         // carry both directions on the same edge in a round.
-                        let k = parallel.len();
-                        let offset = usize::from(v > neighbor.index());
-                        parallel[(round as usize - 1 + offset) % k]
+                        let offset = usize::from(v > neighbor);
+                        class[(round as usize - 1 + offset) % class.len()].edge
                     }
                 };
                 ledger.record_edge(carrier, bundle_bytes);
-                let u = neighbor.index();
                 for &token in fresh_v {
-                    if known.set(u, token as usize) {
-                        next_fresh[u].push(token);
+                    if known.set(neighbor, token as usize) {
+                        next_fresh[neighbor].push(token);
                     }
                 }
             }
@@ -367,39 +256,14 @@ pub fn flood_on_subgraph_routed(
     }
 
     let tokens_received = (0..n).map(|v| known.count_row(v)).collect();
-    Ok(BroadcastOutcome {
+    BroadcastOutcome {
         cost: ledger.summary(),
         radius,
         tokens_received,
         subgraph_edges: subgraph.edge_count(),
-        known: Some(KnownTokens {
-            words_per_row: known.words_per_row,
-            data: known.data,
-        }),
+        known: Some(known),
         ledger,
-    })
-}
-
-/// [`t_local_broadcast`] under an explicit [`FloodRouting`] policy: flooding
-/// within distance `stretch · t` with the chosen parallel-edge routing (see
-/// [`flood_on_subgraph_routed`]).
-///
-/// # Errors
-///
-/// Returns an error if `stretch` is zero or an edge ID is unknown.
-pub fn t_local_broadcast_routed(
-    graph: &MultiGraph,
-    spanner_edges: impl IntoIterator<Item = EdgeId>,
-    t: u32,
-    stretch: u32,
-    routing: FloodRouting,
-) -> CoreResult<BroadcastOutcome> {
-    if stretch == 0 {
-        return Err(CoreError::invalid_parameter(
-            "the stretch must be at least 1",
-        ));
     }
-    flood_on_subgraph_routed(graph, spanner_edges, stretch.saturating_mul(t), routing)
 }
 
 /// The `t`-local broadcast of Lemma 12: flooding within distance
@@ -414,29 +278,12 @@ pub fn t_local_broadcast(
     t: u32,
     stretch: u32,
 ) -> CoreResult<BroadcastOutcome> {
-    t_local_broadcast_with_faults(graph, spanner_edges, t, stretch, &FaultPlan::none())
-}
-
-/// [`t_local_broadcast`] under a deterministic [`FaultPlan`] (see
-/// [`flood_on_subgraph_with_faults`] for the fault semantics).
-///
-/// # Errors
-///
-/// Returns an error if `stretch` is zero, an edge ID is unknown, or the
-/// plan's probabilities are invalid.
-pub fn t_local_broadcast_with_faults(
-    graph: &MultiGraph,
-    spanner_edges: impl IntoIterator<Item = EdgeId>,
-    t: u32,
-    stretch: u32,
-    faults: &FaultPlan,
-) -> CoreResult<BroadcastOutcome> {
     if stretch == 0 {
         return Err(CoreError::invalid_parameter(
             "the stretch must be at least 1",
         ));
     }
-    flood_on_subgraph_with_faults(graph, spanner_edges, stretch.saturating_mul(t), faults)
+    flood_on_subgraph(graph, spanner_edges, stretch.saturating_mul(t))
 }
 
 #[cfg(test)]
@@ -522,79 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_reproduces_the_clean_flood() {
-        let graph = connected_erdos_renyi(&GeneratorConfig::new(40, 2), 0.2).unwrap();
-        let clean = flood_on_subgraph(&graph, graph.edge_ids(), 3).unwrap();
-        let faulty =
-            flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 3, &FaultPlan::none()).unwrap();
-        assert_eq!(clean, faulty);
-        assert_eq!(faulty.ledger.fault_totals().dropped, 0);
-    }
-
-    #[test]
-    fn certain_drop_silences_the_flood_after_round_one() {
-        let graph = cycle_graph(&GeneratorConfig::new(10, 0)).unwrap();
-        let plan = FaultPlan::new(3).with_drop_probability(1.0);
-        let outcome = flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 3, &plan).unwrap();
-        // Round 1: every node floods its own token over both edges — all 20
-        // bundles dropped. Nobody learns anything, so rounds 2 and 3 are
-        // silent.
-        assert_eq!(outcome.cost.messages, 0);
-        assert_eq!(outcome.ledger.fault_totals().dropped, 20);
-        assert_eq!(outcome.ledger.fault_totals().dropped_random, 20);
-        assert!(outcome.tokens_received.iter().all(|&c| c == 1));
-        assert!(outcome.coverage_violations(&graph, 3).unwrap() > 0);
-    }
-
-    #[test]
-    fn link_cut_splits_the_flood_and_is_attributed() {
-        // Path 0-1-2-3; cutting e1 from round 1 splits it into {0,1}, {2,3}.
-        let mut graph = MultiGraph::new(4);
-        for (u, v) in [(0u32, 1u32), (1, 2), (2, 3)] {
-            graph.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
-        }
-        let plan = FaultPlan::new(0).with_link_cut(EdgeId::new(1), 1);
-        let outcome = flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 3, &plan).unwrap();
-        assert_eq!(outcome.tokens_received, vec![2, 2, 2, 2]);
-        let totals = outcome.ledger.fault_totals();
-        assert!(totals.dropped_link_cut > 0);
-        assert_eq!(totals.dropped, totals.dropped_link_cut);
-        // No message ever crossed the cut edge.
-        assert_eq!(outcome.ledger.messages_per_edge()[1], 0);
-    }
-
-    #[test]
-    fn crashed_node_neither_sends_nor_receives_in_the_flood() {
-        let graph = cycle_graph(&GeneratorConfig::new(6, 0)).unwrap();
-        let plan = FaultPlan::new(0).with_crash(NodeId::new(3), 0);
-        let outcome = flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 5, &plan).unwrap();
-        // The crashed node keeps only its own token; the survivors flood on
-        // the remaining path and still learn all five live tokens.
-        assert_eq!(outcome.tokens_received[3], 1);
-        for v in [0usize, 1, 2, 4, 5] {
-            assert_eq!(outcome.tokens_received[v], 5, "node {v}");
-        }
-        assert!(outcome.ledger.fault_totals().dropped_crash > 0);
-    }
-
-    #[test]
-    fn certain_duplication_doubles_flood_traffic_only() {
-        let graph = cycle_graph(&GeneratorConfig::new(8, 0)).unwrap();
-        let clean = flood_on_subgraph(&graph, graph.edge_ids(), 2).unwrap();
-        let plan = FaultPlan::new(5).with_duplicate_probability(1.0);
-        let doubled = flood_on_subgraph_with_faults(&graph, graph.edge_ids(), 2, &plan).unwrap();
-        // Every bundle crosses twice: double messages and bytes, identical
-        // knowledge (token union is idempotent).
-        assert_eq!(doubled.cost.messages, 2 * clean.cost.messages);
-        assert_eq!(doubled.ledger.total_bytes(), 2 * clean.ledger.total_bytes());
-        assert_eq!(doubled.tokens_received, clean.tokens_received);
-        assert_eq!(
-            doubled.ledger.fault_totals().duplicated,
-            clean.cost.messages
-        );
-    }
-
-    #[test]
     fn routing_policies_coincide_on_simple_graphs() {
         let graph = connected_erdos_renyi(&GeneratorConfig::new(40, 9), 0.15).unwrap();
         let per_edge = flood_on_subgraph(&graph, graph.edge_ids(), 3).unwrap();
@@ -663,14 +437,6 @@ mod tests {
     #[test]
     fn routed_parameter_validation() {
         let graph = cycle_graph(&GeneratorConfig::new(5, 0)).unwrap();
-        assert!(t_local_broadcast_routed(
-            &graph,
-            graph.edge_ids(),
-            1,
-            0,
-            FloodRouting::CongestionAware
-        )
-        .is_err());
         assert!(flood_on_subgraph_routed(
             &MultiGraph::new(0),
             std::iter::empty(),

@@ -9,14 +9,14 @@
 //! `H'` within radius `3t + β`, solving the `t`-local broadcast in `O(t)`
 //! rounds with `Õ(t²·n^{1+O(1/log t)})` messages.
 
-use super::tlocal::{flood_on_subgraph_with_faults, t_local_broadcast_with_faults};
+use super::tlocal::{flood_on_subgraph, t_local_broadcast};
 use crate::error::{CoreError, CoreResult};
 use crate::params::ConstantPolicy;
 use crate::reduction::scheme::SamplerScheme;
 use crate::sampler::Sampler;
 use crate::spanner_api::{SpannerAlgorithm, SpannerResult};
 use freelunch_graph::MultiGraph;
-use freelunch_runtime::{CostReport, FaultPlan};
+use freelunch_runtime::CostReport;
 use serde::{Deserialize, Serialize};
 
 /// The two-stage scheme, generic over the second-stage spanner construction.
@@ -65,29 +65,6 @@ impl<S: SpannerAlgorithm> TwoStageScheme<S> {
     /// Propagates errors from the stage-1 construction, the second-stage
     /// construction and the flooding stages.
     pub fn run(&self, graph: &MultiGraph, t: u32, seed: u64) -> CoreResult<TwoStageReport> {
-        self.run_with_faults(graph, t, seed, &FaultPlan::none())
-    }
-
-    /// Runs the scheme with both broadcast stages — the stage-2 simulation
-    /// flood on the stage-1 spanner and the final stage-3 flood on the
-    /// second spanner — subjected to the given deterministic
-    /// [`FaultPlan`] (the empty plan reproduces [`TwoStageScheme::run`]
-    /// exactly). The stage-1 `Sampler` construction and the second-stage
-    /// construction itself use the paper's cost emulation rather than a
-    /// message-by-message process, so faults do not apply to them; their
-    /// costs are reported as in the clean run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the constructions, the flooding stages and
-    /// plan validation.
-    pub fn run_with_faults(
-        &self,
-        graph: &MultiGraph,
-        t: u32,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> CoreResult<TwoStageReport> {
         // Stage 1: Sampler spanner with k = γ, h = 2^{γ+1} − 1.
         let stage1_scheme = SamplerScheme::with_constants(self.gamma, self.constants)?;
         let stage1_params = stage1_scheme.sampler_params()?;
@@ -99,19 +76,17 @@ impl<S: SpannerAlgorithm> TwoStageScheme<S> {
         // r rounds by an r-local broadcast on the stage-1 spanner.
         let second = self.second_stage.construct(graph, seed.wrapping_add(1))?;
         let r = u32::try_from(second.cost.rounds.max(1)).unwrap_or(u32::MAX);
-        let stage2_sim = t_local_broadcast_with_faults(
+        let stage2_sim = t_local_broadcast(
             graph,
             stage1.spanner_edges().iter().copied(),
             r,
             stage1_stretch,
-            faults,
         )?;
 
         // Stage 3: t-local broadcast by flooding on the second spanner within
         // radius α·t + β.
         let radius = second.flooding_radius(t);
-        let stage3 =
-            flood_on_subgraph_with_faults(graph, second.edges.iter().copied(), radius, faults)?;
+        let stage3 = flood_on_subgraph(graph, second.edges.iter().copied(), radius)?;
 
         let total_cost = stage1.cost + stage2_sim.cost + stage3.cost;
         let stage3_ledger = stage3.ledger;
@@ -249,26 +224,6 @@ mod tests {
         assert_eq!(report.stage3_radius, t);
         assert!(report.stage1_spanner_edges > 0);
         assert_eq!(report.stage2_spanner_edges, graph.edge_count());
-    }
-
-    #[test]
-    fn faulty_two_stage_replays_and_accounts_drops() {
-        let graph = connected_erdos_renyi(&GeneratorConfig::new(80, 3), 0.2).unwrap();
-        let clean = scheme().run(&graph, 3, 7).unwrap();
-        let empty = scheme()
-            .run_with_faults(&graph, 3, 7, &FaultPlan::none())
-            .unwrap();
-        assert_eq!(clean, empty);
-        let plan = FaultPlan::new(21).with_drop_probability(0.4);
-        let faulty = scheme().run_with_faults(&graph, 3, 7, &plan).unwrap();
-        assert_eq!(
-            faulty,
-            scheme().run_with_faults(&graph, 3, 7, &plan).unwrap()
-        );
-        // Stage 1 is emulated (no faults); the flooding stages lose traffic.
-        assert_eq!(faulty.stage1_cost, clean.stage1_cost);
-        assert!(faulty.stage3_ledger.fault_totals().dropped > 0);
-        assert!(faulty.stage3_cost.messages < clean.stage3_cost.messages);
     }
 
     #[test]

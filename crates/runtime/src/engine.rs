@@ -601,13 +601,13 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         let ledger = MessageLedger::new(edge_slots);
         // Validate before the emptiness shortcut: a plan with (say) a
         // negative probability must be rejected, not silently treated as
-        // empty — the emulated `*_with_faults` paths reject it too.
+        // empty.
         plan.validate().map_err(RuntimeError::invalid_config)?;
         let faults = if plan.is_empty() {
             None
         } else {
             Some(
-                ResolvedFaultPlan::resolve(plan, edge_slots, node_count)
+                ResolvedFaultPlan::resolve(plan, &edge_endpoints, node_count)
                     .map_err(RuntimeError::invalid_config)?,
             )
         };
@@ -1103,6 +1103,9 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             return Ok(());
         };
         let events = churn.apply_round(round)?;
+        // Endpoints of every inserted or deleted edge: exactly the nodes
+        // whose incidence lists, and so whose port numbers, changed.
+        let mut renumbered: Vec<u32> = Vec::new();
         for &event in &events {
             match event {
                 ChurnEvent::EdgeInsert { edge, u, v } => {
@@ -1112,6 +1115,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                             .resize(slot + 1, [CsrGraph::NO_ENDPOINT; 2]);
                     }
                     self.edge_endpoints[slot] = [u.raw(), v.raw()];
+                    renumbered.extend([u.raw(), v.raw()]);
                     // The ledger gains a counter for the new edge; existing
                     // counters (and history) are untouched.
                     self.ledger.ensure_edge_slots(slot + 1);
@@ -1119,7 +1123,11 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 ChurnEvent::EdgeDelete { edge } => {
                     // A deleted edge becomes unknown to `Context::send`;
                     // its ledger counters keep their history.
-                    self.edge_endpoints[edge.index()] = [CsrGraph::NO_ENDPOINT; 2];
+                    let ends = std::mem::replace(
+                        &mut self.edge_endpoints[edge.index()],
+                        [CsrGraph::NO_ENDPOINT; 2],
+                    );
+                    renumbered.extend(ends);
                 }
                 ChurnEvent::NodeLeave { node } => {
                     // Departed nodes count as halted so executions still
@@ -1133,9 +1141,10 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         }
         if self.faults.is_some() && !events.is_empty() {
             // Rebuild the fault plane's dense port tables from the live
-            // overlay: ports shift when incidence lists change, and a
-            // node whose degree changed gets fresh silence counters (the
-            // old per-port numbering is meaningless).
+            // overlay: ports shift when incidence lists change, and every
+            // endpoint of an inserted or deleted edge gets fresh silence
+            // counters (its old per-port numbering is meaningless, even
+            // when a loss and a gain leave its degree unchanged).
             let overlay = self
                 .churn
                 .as_ref()
@@ -1144,7 +1153,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             let edge_endpoints = &self.edge_endpoints;
             self.edge_ports.clear();
             self.edge_ports.resize(edge_endpoints.len(), [u32::MAX; 2]);
-            for (v, counters) in self.port_silence.iter_mut().enumerate() {
+            for v in 0..self.port_silence.len() {
                 let me = v as u32;
                 let incident = overlay.incident_edges(NodeId::from_usize(v));
                 for (port, ie) in incident.iter().enumerate() {
@@ -1155,9 +1164,10 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                     };
                     self.edge_ports[ie.edge.index()][slot] = port as u32;
                 }
-                if counters.len() != incident.len() {
-                    *counters = vec![0; incident.len()];
-                }
+            }
+            for v in renumbered {
+                self.port_silence[v as usize] =
+                    vec![0; overlay.incident_edges(NodeId::new(v)).len()];
             }
         }
         self.churn_events = events;
@@ -2405,30 +2415,53 @@ mod tests {
 
     #[test]
     fn crashed_node_goes_silent_frozen_and_halted() {
-        let graph = cycle(6);
-        let plan = FaultPlan::new(1).with_crash(NodeId::new(3), 0);
-        let mut network =
-            Network::with_fault_plan(&graph, NetworkConfig::with_seed(1), plan, |node, _| {
-                Flood::new(node)
-            })
-            .unwrap();
-        network.run_until_halt(20).unwrap();
-        assert!(network.is_crashed(NodeId::new(3)));
-        assert_eq!(network.crashed_nodes(), vec![NodeId::new(3)]);
-        assert_eq!(network.crashed_count(), 1);
-        assert!(!network.is_crashed(NodeId::new(0)));
-        // The crashed node's program state is frozen at its initial value.
-        assert!(network.programs()[3].heard_in_round.is_none());
-        // Every live node still hears the token (the cycle minus one node is
-        // a path), and the two messages addressed to the crashed node are
-        // attributed as crash drops.
-        for v in [0usize, 1, 2, 4, 5] {
-            assert!(network.programs()[v].heard_in_round.is_some(), "node {v}");
+        // The token leaves node 0 at initialization, and nodes 2 and 4 send
+        // it towards node 3 in round 2, for reading in round 3. A message
+        // sent in round r is dropped when its receiver is down in round
+        // r + 1, so a crash at round 3 loses both sends exactly like a crash
+        // before the start, and a crash at round 4 loses neither.
+        // (crash round, crash drops, messages, round node 3 first hears in)
+        for (crash_round, drops, messages, heard) in
+            [(0, 2, 8, None), (3, 2, 8, None), (4, 0, 12, Some(3))]
+        {
+            let graph = cycle(6);
+            let plan = FaultPlan::new(1).with_crash(NodeId::new(3), crash_round);
+            let mut network =
+                Network::with_fault_plan(&graph, NetworkConfig::with_seed(1), plan, |node, _| {
+                    Flood::new(node)
+                })
+                .unwrap();
+            network.run_until_halt(20).unwrap();
+            let row = format!("crash at round {crash_round}");
+            // The run ends by round 3, so a crash scheduled for round 4 has
+            // not happened yet.
+            let crashed = crash_round <= network.current_round();
+            assert_eq!(network.is_crashed(NodeId::new(3)), crashed, "{row}");
+            let expected = if crashed {
+                vec![NodeId::new(3)]
+            } else {
+                Vec::new()
+            };
+            assert_eq!(network.crashed_nodes(), expected, "{row}");
+            assert_eq!(network.crashed_count(), usize::from(crashed), "{row}");
+            assert!(!network.is_crashed(NodeId::new(0)), "{row}");
+            // A crashed node's program state is frozen where the crash
+            // found it.
+            assert_eq!(network.programs()[3].heard_in_round, heard, "{row}");
+            // Every live node still hears the token (the cycle minus one
+            // node is a path).
+            for v in [0usize, 1, 2, 4, 5] {
+                assert!(
+                    network.programs()[v].heard_in_round.is_some(),
+                    "{row}: node {v}"
+                );
+            }
+            assert_eq!(network.cost().messages, messages, "{row}");
+            let totals = network.ledger().fault_totals();
+            assert_eq!(totals.dropped_crash, drops, "{row}");
+            assert_eq!(totals.dropped, drops, "{row}");
+            assert_eq!(totals.duplicated, 0, "{row}");
         }
-        let totals = network.ledger().fault_totals();
-        assert_eq!(totals.dropped_crash, 2);
-        assert_eq!(totals.dropped, 2);
-        assert_eq!(totals.duplicated, 0);
     }
 
     #[test]
@@ -2552,6 +2585,49 @@ mod tests {
     }
 
     #[test]
+    fn churn_renumbering_restarts_silence_counters() {
+        /// Broadcasts every round and snapshots its port-silence counters in
+        /// round 3.
+        struct Watcher {
+            round_3: Vec<u32>,
+        }
+        impl NodeProgram for Watcher {
+            type Message = ();
+            fn init(&mut self, ctx: &mut Context<'_, ()>) {
+                ctx.broadcast(());
+            }
+            fn round(&mut self, ctx: &mut Context<'_, ()>, _inbox: &[Envelope<()>]) {
+                if ctx.round() == 3 {
+                    self.round_3 = ctx.port_silence().to_vec();
+                }
+                ctx.broadcast(());
+            }
+        }
+        // Node 1's port 1 faces the crashed node 2, so its counter reads 3
+        // by round 3. Churn then deletes that edge (`e1`) and gives node 1
+        // a new edge to node 3: the degree stays 2, but port 1 is a new
+        // link whose counter must start from zero.
+        let graph = cycle(4);
+        let faults = FaultPlan::new(0).with_crash(NodeId::new(2), 0);
+        let churn = ChurnPlan::new(0)
+            .with_edge_delete(3, EdgeId::new(1))
+            .with_edge_insert(3, NodeId::new(1), NodeId::new(3));
+        let mut network = Network::with_plans(
+            &graph,
+            NetworkConfig::default(),
+            faults,
+            churn,
+            InProcessTransport::new(),
+            |_, _| Watcher {
+                round_3: Vec::new(),
+            },
+        )
+        .unwrap();
+        network.run_rounds(3).unwrap();
+        assert_eq!(network.programs()[1].round_3, vec![0, 0]);
+    }
+
+    #[test]
     fn delivery_perturbation_reorders_but_preserves_content() {
         /// Records the sender order of its inbox each round.
         struct OrderProbe {
@@ -2633,8 +2709,7 @@ mod tests {
         )
         .is_err());
         // A negative probability makes `is_empty()` true; validation must
-        // still reject it rather than shortcut to the failure-free path
-        // (the emulated `*_with_faults` paths reject the same plan).
+        // still reject it rather than shortcut to the failure-free path.
         let negative = FaultPlan::new(0).with_drop_probability(-0.5);
         assert!(negative.is_empty());
         assert!(
@@ -2687,5 +2762,13 @@ mod tests {
         assert_eq!(network.cost().messages, 4);
         assert_eq!(network.ledger().messages_per_edge()[500], 2);
         assert_eq!(network.ledger().messages_per_edge()[7], 2);
+        // A link cut must name an edge the graph holds: 8 lies inside the
+        // dense slot range but in a gap of the sparse ID space.
+        let with_cut = |edge| {
+            let plan = FaultPlan::new(0).with_link_cut(EdgeId::new(edge), 1);
+            Network::with_fault_plan(&graph, NetworkConfig::default(), plan, |_, _| Ping)
+        };
+        assert!(with_cut(8).is_err());
+        assert!(with_cut(7).is_ok());
     }
 }

@@ -47,10 +47,9 @@
 //! column — see `docs/METRICS.md` §6 for the exact convention (delivered
 //! traffic is metered as usual; drops never reach the per-edge counters).
 //!
-//! The same plan type is accepted by the emulated execution paths
-//! (`freelunch-core`'s reduction floods, the flooding and gossip baselines),
-//! so scheme-vs-baseline robustness comparisons share one accounting
-//! convention end to end.
+//! The engine's round barrier is the only place a plan acts: the emulated
+//! round loops elsewhere in the workspace (`freelunch-core`'s reduction
+//! floods, the flooding and gossip baselines) are failure-free.
 //!
 //! # Examples
 //!
@@ -83,7 +82,7 @@
 //! # }
 //! ```
 
-use freelunch_graph::{EdgeId, NodeId};
+use freelunch_graph::{CsrGraph, EdgeId, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -111,7 +110,7 @@ pub struct CrashSchedule {
 
 /// The per-message outcome drawn from the fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessageFate {
+pub(crate) enum MessageFate {
     /// The message is delivered normally.
     Deliver,
     /// The message is silently dropped.
@@ -240,38 +239,14 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// The round the given node crashes at, if any (the earliest schedule
-    /// wins when a node appears more than once).
-    pub fn crash_round(&self, node: NodeId) -> Option<u32> {
-        self.crashes
-            .iter()
-            .filter(|c| c.node == node)
-            .map(|c| c.at_round)
-            .min()
-    }
-
-    /// Returns `true` if `node` does not participate in `round` (it crashed
-    /// in that round or earlier).
-    pub fn crashed_at(&self, node: NodeId, round: u32) -> bool {
-        self.crash_round(node).is_some_and(|r| r <= round)
-    }
-
-    /// Returns `true` if `edge` is cut in `round`.
-    pub fn link_cut_at(&self, edge: EdgeId, round: u32) -> bool {
-        self.link_cuts
-            .iter()
-            .any(|c| c.edge == edge && c.from_round <= round)
-    }
-
     /// Resolves the fate of one message from the keyed ChaCha stream.
     ///
     /// `msg_index` is the message's index within its sender's sends of that
-    /// round (0 for processes that send at most one message per edge per
-    /// round). The key is `(seed, round, edge, sender, msg_index)`, so the
+    /// round. The key is `(seed, round, edge, sender, msg_index)`, so the
     /// outcome depends only on *which* message it is — never on the order
     /// faults are applied in, which is what makes faulty executions
     /// independent of the shard count.
-    pub fn message_fate(
+    pub(crate) fn message_fate(
         &self,
         round: u32,
         edge: EdgeId,
@@ -354,21 +329,27 @@ pub(crate) struct ResolvedFaultPlan {
 }
 
 impl ResolvedFaultPlan {
-    /// Resolves `plan` against a network of `node_count` nodes and
-    /// `edge_slots` dense edge slots. Link cuts and crashes referencing
-    /// out-of-range IDs are rejected with a description.
+    /// Resolves `plan` against a network of `node_count` nodes whose edges
+    /// are given by the dense `edge_endpoints` table
+    /// ([`CsrGraph::endpoint_table`]). Link cuts on edges the table does
+    /// not hold (IDs past its end, or a gap in a sparse ID space) and
+    /// crashes of out-of-range nodes are rejected with a description.
     pub(crate) fn resolve(
         plan: FaultPlan,
-        edge_slots: usize,
+        edge_endpoints: &[[u32; 2]],
         node_count: usize,
     ) -> Result<Self, String> {
         plan.validate()?;
-        let mut cut_from = vec![u32::MAX; edge_slots];
+        let mut cut_from = vec![u32::MAX; edge_endpoints.len()];
         for cut in &plan.link_cuts {
-            let slot = cut_from
-                .get_mut(cut.edge.index())
-                .ok_or_else(|| format!("link cut references unknown edge {}", cut.edge))?;
-            *slot = (*slot).min(cut.from_round);
+            let index = cut.edge.index();
+            if edge_endpoints
+                .get(index)
+                .is_none_or(|ends| ends[0] == CsrGraph::NO_ENDPOINT)
+            {
+                return Err(format!("link cut references unknown edge {}", cut.edge));
+            }
+            cut_from[index] = cut_from[index].min(cut.from_round);
         }
         let mut crash_from = vec![u32::MAX; node_count];
         for crash in &plan.crashes {
@@ -435,6 +416,12 @@ impl ResolvedFaultPlan {
 mod tests {
     use super::*;
 
+    /// The endpoint table of a path on `nodes` nodes with edge `e` joining
+    /// `e` and `e + 1`.
+    fn path_endpoints(nodes: u32) -> Vec<[u32; 2]> {
+        (1..nodes).map(|v| [v - 1, v]).collect()
+    }
+
     #[test]
     fn empty_plan_is_empty_and_valid() {
         let plan = FaultPlan::none();
@@ -458,13 +445,14 @@ mod tests {
         assert!(!plan.is_empty());
         assert!(plan.affects_messages());
         assert_eq!(plan.seed, 9);
-        assert!(plan.link_cut_at(EdgeId::new(4), 2));
-        assert!(!plan.link_cut_at(EdgeId::new(4), 1));
-        assert!(!plan.link_cut_at(EdgeId::new(5), 9));
-        assert!(plan.crashed_at(NodeId::new(1), 3));
-        assert!(!plan.crashed_at(NodeId::new(1), 2));
-        assert_eq!(plan.crash_round(NodeId::new(1)), Some(3));
-        assert_eq!(plan.crash_round(NodeId::new(2)), None);
+        let resolved = ResolvedFaultPlan::resolve(plan, &path_endpoints(7), 7).unwrap();
+        assert!(resolved.perturbs());
+        assert!(resolved.link_cut_at(4, 2));
+        assert!(!resolved.link_cut_at(4, 1));
+        assert!(!resolved.link_cut_at(5, 9));
+        assert!(resolved.crashed_at(1, 3));
+        assert!(!resolved.crashed_at(1, 2));
+        assert!(!resolved.crashed_at(2, 1_000));
     }
 
     #[test]
@@ -519,9 +507,7 @@ mod tests {
             .with_crash(NodeId::new(2), 3)
             .with_link_cut(EdgeId::new(1), 7)
             .with_link_cut(EdgeId::new(1), 4);
-        assert_eq!(plan.crash_round(NodeId::new(2)), Some(3));
-        assert!(plan.link_cut_at(EdgeId::new(1), 4));
-        let resolved = ResolvedFaultPlan::resolve(plan, 2, 3).unwrap();
+        let resolved = ResolvedFaultPlan::resolve(plan, &path_endpoints(3), 3).unwrap();
         assert!(resolved.crashed_at(2, 3));
         assert!(!resolved.crashed_at(2, 2));
         assert!(resolved.link_cut_at(1, 4));
@@ -531,9 +517,9 @@ mod tests {
     #[test]
     fn resolve_rejects_out_of_range_references() {
         let plan = FaultPlan::new(0).with_link_cut(EdgeId::new(10), 0);
-        assert!(ResolvedFaultPlan::resolve(plan, 3, 3).is_err());
+        assert!(ResolvedFaultPlan::resolve(plan, &path_endpoints(3), 3).is_err());
         let plan = FaultPlan::new(0).with_crash(NodeId::new(10), 0);
-        assert!(ResolvedFaultPlan::resolve(plan, 3, 3).is_err());
+        assert!(ResolvedFaultPlan::resolve(plan, &path_endpoints(3), 3).is_err());
     }
 
     #[test]

@@ -106,11 +106,10 @@ pub use checkpoint::{CheckpointHeader, NetworkCheckpoint, PendingEnvelope};
 pub use churn::{ChurnDriver, ChurnEvent, ChurnEventSpec, ChurnPlan, ScheduledChurn};
 pub use engine::{Network, NetworkConfig, DEFAULT_CHUNK_SIZE};
 pub use error::{RuntimeError, RuntimeResult};
-pub use fault::{CrashSchedule, FaultPlan, LinkCut, MessageFate};
+pub use fault::{CrashSchedule, FaultPlan, LinkCut};
 pub use knowledge::{InitialKnowledge, KnowledgeModel, Port};
 pub use metrics::{
-    edge_slot_count, CongestionSnapshot, CostReport, ExecutionMetrics, FaultCause, FaultTotals,
-    MessageLedger,
+    edge_slot_count, CongestionSnapshot, CostReport, ExecutionMetrics, FaultTotals, MessageLedger,
 };
 pub use node::{Context, Envelope, NodeProgram, Outgoing};
 pub use trace::{Trace, TraceEvent, TraceMode};

@@ -163,7 +163,7 @@ pub fn edge_slot_count(edges: impl IntoIterator<Item = EdgeId>) -> usize {
 /// in the [`MessageLedger`]'s fault-accounting column; see `docs/METRICS.md`
 /// §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultCause {
+pub(crate) enum FaultCause {
     /// Dropped by the per-message drop probability of the fault plan.
     Random,
     /// Dropped because its edge was cut.
@@ -487,7 +487,7 @@ impl MessageLedger {
     /// Records that fault injection dropped one message in the current round
     /// slot, attributed to `cause`. Dropped messages appear *only* here —
     /// they never reach the per-edge or per-round delivery counters.
-    pub fn record_dropped(&mut self, cause: FaultCause) {
+    pub(crate) fn record_dropped(&mut self, cause: FaultCause) {
         self.record_dropped_bulk(cause, 1);
     }
 
@@ -495,7 +495,7 @@ impl MessageLedger {
     /// current round slot — the bulk form a distributed transport uses to
     /// merge a peer rank's fault column (sums, so merging is
     /// order-independent like [`MessageLedger::record_bulk`]).
-    pub fn record_dropped_bulk(&mut self, cause: FaultCause, count: u64) {
+    pub(crate) fn record_dropped_bulk(&mut self, cause: FaultCause, count: u64) {
         if count == 0 {
             return;
         }
@@ -514,14 +514,14 @@ impl MessageLedger {
     /// round slot. The duplicate itself is additionally recorded through the
     /// ordinary [`MessageLedger::record`] path by whoever delivers it, since
     /// it really crosses the edge.
-    pub fn record_duplicated(&mut self) {
+    pub(crate) fn record_duplicated(&mut self) {
         self.record_duplicated_bulk(1);
     }
 
     /// Records `count` fault-injected duplications in the current round slot
     /// (bulk form of [`MessageLedger::record_duplicated`], for merging a
     /// peer rank's fault column).
-    pub fn record_duplicated_bulk(&mut self, count: u64) {
+    pub(crate) fn record_duplicated_bulk(&mut self, count: u64) {
         if count == 0 {
             return;
         }

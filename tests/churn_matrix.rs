@@ -20,10 +20,8 @@
 //!    churn section) agree on every observable, and both TCP ranks hold the
 //!    identical global view.
 //!
-//! Set `CHURN_MATRIX_SMOKE=1` to shrink the grid (one workload, three
-//! profiles) for quick CI signal; the full grid runs under plain
-//! `cargo test`. The event model and canonical application order the matrix
-//! pins down are documented in `docs/CHURN.md`.
+//! The event model and canonical application order the matrix pins down
+//! are documented in `docs/CHURN.md`.
 
 use freelunch::algorithms::{BallGathering, LubyMis, MaximalMatching, RandomizedColoring};
 use freelunch::core::planner::SchemePlanner;
@@ -46,27 +44,22 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 /// Gathering horizon of the broadcast workload.
 const BROADCAST_T: u32 = 2;
 
-fn smoke() -> bool {
-    std::env::var_os("CHURN_MATRIX_SMOKE").is_some()
-}
-
-/// The workload families (one in smoke mode, three in the full grid).
+/// The workload families.
 fn workloads() -> Vec<(&'static str, MultiGraph)> {
-    let mut families = vec![(
-        "sparse-er",
-        sparse_connected_erdos_renyi(&GeneratorConfig::new(64, 31), 5.0).unwrap(),
-    )];
-    if !smoke() {
-        families.push((
+    vec![
+        (
+            "sparse-er",
+            sparse_connected_erdos_renyi(&GeneratorConfig::new(64, 31), 5.0).unwrap(),
+        ),
+        (
             "scale-free",
             barabasi_albert(&GeneratorConfig::new(64, 32), 3).unwrap(),
-        ));
-        families.push((
+        ),
+        (
             "communities",
             sparse_planted_partition(&GeneratorConfig::new(64, 33), 4, 7.0, 1.0).unwrap(),
-        ));
-    }
-    families
+        ),
+    ]
 }
 
 /// The mixed stream every grid shares: seeded insert *and* delete rates
@@ -83,32 +76,30 @@ fn mixed_plan(graph: &MultiGraph) -> ChurnPlan {
 
 /// The churn profiles of the matrix. Every profile carries both plans so
 /// `churn+faults` can combine the mixed stream with an adversarial
-/// [`FaultPlan`]; all other profiles leave the fault plan empty. Smoke mode
-/// keeps `none`, `mixed` and `churn+faults`.
+/// [`FaultPlan`]; all other profiles leave the fault plan empty.
 fn profiles(graph: &MultiGraph) -> Vec<(&'static str, FaultPlan, ChurnPlan)> {
     let n = graph.node_count();
-    let mut all = vec![("none", FaultPlan::none(), ChurnPlan::none())];
-    if !smoke() {
-        all.push((
+    vec![
+        ("none", FaultPlan::none(), ChurnPlan::none()),
+        (
             "insert-only",
             FaultPlan::none(),
             ChurnPlan::new(201).with_insert_rate(0.05),
-        ));
-        all.push((
+        ),
+        (
             "delete-only",
             FaultPlan::none(),
             ChurnPlan::new(202).with_delete_rate(0.05),
-        ));
-    }
-    all.push(("mixed", FaultPlan::none(), mixed_plan(graph)));
-    all.push((
-        "churn+faults",
-        FaultPlan::new(301)
-            .with_drop_probability(0.1)
-            .with_crash(NodeId::from_usize(n / 2), 3),
-        mixed_plan(graph),
-    ));
-    all
+        ),
+        ("mixed", FaultPlan::none(), mixed_plan(graph)),
+        (
+            "churn+faults",
+            FaultPlan::new(301)
+                .with_drop_probability(0.1)
+                .with_crash(NodeId::from_usize(n / 2), 3),
+            mixed_plan(graph),
+        ),
+    ]
 }
 
 /// Everything observable about one (graph, plans, seed, shards, backend)
@@ -530,11 +521,9 @@ fn matrix_grid_meets_the_acceptance_floor() {
     for required in ["none", "mixed", "churn+faults"] {
         assert!(names.contains(&required), "missing profile {required}");
     }
-    if !smoke() {
-        assert!(names.contains(&"insert-only"));
-        assert!(names.contains(&"delete-only"));
-        assert!(workloads().len() >= 3);
-    }
+    assert!(names.contains(&"insert-only"));
+    assert!(names.contains(&"delete-only"));
+    assert!(workloads().len() >= 3);
     for (name, faults, churn) in profiles(&graph) {
         match name {
             // The clean profile must be truly empty on both planes.

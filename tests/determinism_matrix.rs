@@ -587,13 +587,6 @@ fn planner_reports_are_shard_and_trace_invariant() {
     }
 }
 
-/// `SCHED_PARITY_SMOKE=1` shrinks the scheduling-parity grid (one
-/// workload, one shard count, the 7-node and one-range-per-shard chunk
-/// sizes) for quick CI signal; the full grid runs under plain `cargo test`.
-fn sched_smoke() -> bool {
-    std::env::var_os("SCHED_PARITY_SMOKE").is_some()
-}
-
 /// The scheduling-parity rows of the matrix: the chunked work-stealing
 /// engine must be bit-identical to the sequential engine — outputs,
 /// metrics, ledgers and traces — at every shard count and chunk size. The
@@ -612,7 +605,6 @@ fn assert_sched_parity<P, O>(
     P: NodeProgram,
     O: PartialEq + Debug,
 {
-    let shard_counts: &[usize] = if sched_smoke() { &[2] } else { &SHARD_COUNTS };
     for trace_mode in [TraceMode::Full, TraceMode::Off] {
         let run = |shards: usize, chunk: usize| {
             let config = NetworkConfig::with_seed(seed)
@@ -631,14 +623,9 @@ fn assert_sched_parity<P, O>(
             )
         };
         let serial = run(1, DEFAULT_CHUNK_SIZE);
-        for &shards in shard_counts {
+        for shards in SHARD_COUNTS {
             let one_range_per_shard = graph.node_count().div_ceil(shards);
-            let chunk_sizes = if sched_smoke() {
-                vec![7, one_range_per_shard]
-            } else {
-                vec![7, DEFAULT_CHUNK_SIZE, one_range_per_shard]
-            };
-            for chunk in chunk_sizes {
+            for chunk in [7, DEFAULT_CHUNK_SIZE, one_range_per_shard] {
                 let parallel = run(shards, chunk);
                 let where_ = format!("{label}: {shards} shards, chunk {chunk} ({trace_mode:?})");
                 assert_eq!(serial.0, parallel.0, "{where_}: outputs differ");
@@ -650,18 +637,9 @@ fn assert_sched_parity<P, O>(
     }
 }
 
-/// One workload in smoke mode, all three in the full grid.
-fn sched_parity_workloads() -> Vec<(&'static str, MultiGraph)> {
-    let mut families = workloads();
-    if sched_smoke() {
-        families.truncate(1);
-    }
-    families
-}
-
 #[test]
 fn luby_mis_is_scheduling_invariant() {
-    for (name, graph) in sched_parity_workloads() {
+    for (name, graph) in workloads() {
         assert_sched_parity(
             &graph,
             1,
@@ -675,7 +653,7 @@ fn luby_mis_is_scheduling_invariant() {
 
 #[test]
 fn randomized_coloring_is_scheduling_invariant() {
-    for (name, graph) in sched_parity_workloads() {
+    for (name, graph) in workloads() {
         assert_sched_parity(
             &graph,
             2,
@@ -689,7 +667,7 @@ fn randomized_coloring_is_scheduling_invariant() {
 
 #[test]
 fn ball_gathering_is_scheduling_invariant() {
-    for (name, graph) in sched_parity_workloads() {
+    for (name, graph) in workloads() {
         assert_sched_parity(
             &graph,
             3,
@@ -703,7 +681,7 @@ fn ball_gathering_is_scheduling_invariant() {
 
 #[test]
 fn maximal_matching_is_scheduling_invariant() {
-    for (name, graph) in sched_parity_workloads() {
+    for (name, graph) in workloads() {
         assert_sched_parity(
             &graph,
             5,

@@ -22,11 +22,9 @@
 //!    can fabricate a node ID); and across the faulty grid at least one
 //!    scenario must degrade — otherwise the matrix isn't testing anything.
 //!
-//! Set `FAULT_MATRIX_SMOKE=1` to shrink the grid (one workload, four
-//! profiles) for quick CI signal; the full grid runs under plain
-//! `cargo test`. To add a scenario, extend `profiles()` (a new adversity
-//! shape) or add a `fault_matrix_*` test wired through `drive()` (a new
-//! algorithm) — see `docs/TESTING.md`.
+//! To add a scenario, extend `profiles()` (a new adversity shape) or add a
+//! `fault_matrix_*` test wired through `drive()` (a new algorithm) — see
+//! `docs/TESTING.md`.
 
 use freelunch::algorithms::{
     is_maximal_independent_set, is_maximal_matching, is_proper_coloring, BallGathering, LubyMis,
@@ -50,27 +48,22 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 /// Gathering horizon of the broadcast workload.
 const BROADCAST_T: u32 = 2;
 
-fn smoke() -> bool {
-    std::env::var_os("FAULT_MATRIX_SMOKE").is_some()
-}
-
-/// The workload families (one in smoke mode, three in the full grid).
+/// The workload families.
 fn workloads() -> Vec<(&'static str, MultiGraph)> {
-    let mut families = vec![(
-        "sparse-er",
-        sparse_connected_erdos_renyi(&GeneratorConfig::new(64, 21), 5.0).unwrap(),
-    )];
-    if !smoke() {
-        families.push((
+    vec![
+        (
+            "sparse-er",
+            sparse_connected_erdos_renyi(&GeneratorConfig::new(64, 21), 5.0).unwrap(),
+        ),
+        (
             "scale-free",
             barabasi_albert(&GeneratorConfig::new(64, 22), 3).unwrap(),
-        ));
-        families.push((
+        ),
+        (
             "communities",
             sparse_planted_partition(&GeneratorConfig::new(64, 23), 4, 7.0, 1.0).unwrap(),
-        ));
-    }
-    families
+        ),
+    ]
 }
 
 /// The crash schedule shared by the `crash` and `chaos` profiles: three
@@ -84,10 +77,9 @@ fn crash_schedule(n: usize) -> Vec<(NodeId, u32)> {
     ]
 }
 
-/// The fault profiles of the matrix, sized against the given workload.
-/// Smoke mode keeps the four acceptance-criteria kinds (plus `clean`);
-/// the full grid adds duplication, pure reordering and the combined chaos
-/// profile.
+/// The fault profiles of the matrix, sized against the given workload: the
+/// four acceptance-criteria kinds (plus `clean`), duplication, pure
+/// reordering and the combined chaos profile.
 fn profiles(graph: &MultiGraph) -> Vec<(&'static str, FaultPlan)> {
     let n = graph.node_count();
     let m = graph.edge_count();
@@ -110,27 +102,24 @@ fn profiles(graph: &MultiGraph) -> Vec<(&'static str, FaultPlan)> {
         }
         plan
     };
-    let mut all = vec![
+    let mut chaos = FaultPlan::new(106)
+        .with_drop_probability(0.05)
+        .with_duplicate_probability(0.05)
+        .with_delivery_perturbation();
+    chaos.link_cuts = link_cut.link_cuts.clone();
+    chaos.crashes = crash.crashes.clone();
+    vec![
         ("clean", FaultPlan::none()),
         ("drop", FaultPlan::new(101).with_drop_probability(0.15)),
-        ("crash", crash.clone()),
-        ("link-cut", link_cut.clone()),
-    ];
-    if !smoke() {
-        all.push((
+        ("crash", crash),
+        ("link-cut", link_cut),
+        (
             "duplicate",
             FaultPlan::new(104).with_duplicate_probability(0.25),
-        ));
-        all.push(("reorder", FaultPlan::new(105).with_delivery_perturbation()));
-        let mut chaos = FaultPlan::new(106)
-            .with_drop_probability(0.05)
-            .with_duplicate_probability(0.05)
-            .with_delivery_perturbation();
-        chaos.link_cuts = link_cut.link_cuts.clone();
-        chaos.crashes = crash.crashes.clone();
-        all.push(("chaos", chaos));
-    }
-    all
+        ),
+        ("reorder", FaultPlan::new(105).with_delivery_perturbation()),
+        ("chaos", chaos),
+    ]
 }
 
 /// How an invariant checker grades one scenario.
@@ -587,11 +576,9 @@ fn matrix_grid_meets_the_acceptance_floor() {
     for required in ["clean", "drop", "crash", "link-cut"] {
         assert!(names.contains(&required), "missing profile {required}");
     }
-    if !smoke() {
-        assert!(names.contains(&"duplicate"));
-        assert!(names.len() >= 5, "full grid shrank to {names:?}");
-        assert!(workloads().len() >= 3);
-    }
+    assert!(names.contains(&"duplicate"));
+    assert!(names.len() >= 5, "full grid shrank to {names:?}");
+    assert!(workloads().len() >= 3);
     // Every non-clean profile actually injects something.
     for (name, plan) in profiles(&graph) {
         if name == "clean" {

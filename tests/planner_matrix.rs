@@ -15,9 +15,6 @@
 //!   included), and the engine-measured direct ledger attached to the
 //!   report is bit-identical across shard counts {1, 2, 8} and across the
 //!   in-process, mock and two-rank TCP transport backends.
-//!
-//! `PLANNER_MATRIX_SMOKE=1` shrinks the grid to one cell per decision
-//! branch for CI.
 
 use freelunch::algorithms::BallGathering;
 use freelunch::baselines::ClusterSpanner;
@@ -33,24 +30,12 @@ const T: u32 = 2;
 /// Seed of every execution (workload generation uses per-cell sizes).
 const SEED: u64 = 42;
 
-/// Whether the reduced CI grid was requested.
-fn smoke() -> bool {
-    std::env::var("PLANNER_MATRIX_SMOKE").is_ok()
-}
-
 /// The matrix cells: label, graph, and the decision branch the cell must
 /// land on (the grid is chosen to exercise both branches).
 fn cells() -> Vec<(String, MultiGraph, PathChoice)> {
     let mut cells = Vec::new();
-    let sparse_sizes: &[usize] = if smoke() { &[96] } else { &[96, 192] };
-    let dense_sizes: &[usize] = if smoke() { &[96] } else { &[96, 160] };
-    let complete_sizes: &[usize] = if smoke() { &[96] } else { &[96, 160] };
     for workload in ScalingWorkload::all() {
-        // In smoke mode one sparse family is enough for the direct branch.
-        if smoke() && workload != ScalingWorkload::ErdosRenyi {
-            continue;
-        }
-        for &n in sparse_sizes {
+        for n in [96, 192] {
             cells.push((
                 format!("{}/{n}", workload.label()),
                 workload.build(n, SEED).unwrap(),
@@ -58,14 +43,14 @@ fn cells() -> Vec<(String, MultiGraph, PathChoice)> {
             ));
         }
     }
-    for &n in dense_sizes {
+    for n in [96, 160] {
         cells.push((
             format!("dense-er/{n}"),
             Workload::DenseRandom.build(n, SEED).unwrap(),
             PathChoice::Direct,
         ));
     }
-    for &n in complete_sizes {
+    for n in [96, 160] {
         cells.push((
             format!("complete/{n}"),
             Workload::Complete.build(n, SEED).unwrap(),
@@ -237,7 +222,7 @@ fn assert_bit_identical(a: &PlanReport, b: &PlanReport, context: &str) {
 fn reports_are_bit_identical_across_shards_and_backends() {
     let planner = planner();
     let second = second_stage();
-    let shard_counts: &[usize] = if smoke() { &[1, 2] } else { &[1, 2, 8] };
+    let shard_counts = [1, 2, 8];
     for (label, graph, _) in cells() {
         // Planning and execution are pure functions of (graph, config,
         // seed): replanning and re-executing must reproduce the report bit
@@ -258,7 +243,7 @@ fn reports_are_bit_identical_across_shards_and_backends() {
         // crosses the runtime: attach it from every (backend × shard
         // count) execution — the full report must stay bit-identical.
         reference.attach_engine_direct(in_process_direct(&graph, shard_counts[0]));
-        for &shards in shard_counts {
+        for shards in shard_counts {
             let mut in_process = plan.execute(&graph, SEED, &second).unwrap();
             in_process.attach_engine_direct(in_process_direct(&graph, shards));
             assert_bit_identical(

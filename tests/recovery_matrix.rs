@@ -13,9 +13,6 @@
 //! checkpoint is rejected as desynchronized on *both* sides, and a dead or
 //! silent peer surfaces a timely `PeerDead` instead of hanging.
 //!
-//! `RECOVERY_MATRIX_SMOKE=1` shrinks the grid (CI's quick pass); the full
-//! matrix runs by default.
-//!
 //! [`RejoinHello`]: freelunch::runtime::RejoinHello
 
 use freelunch::algorithms::{BallGathering, LubyMis, RandomizedColoring};
@@ -35,43 +32,29 @@ use std::fmt::Debug;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-fn smoke() -> bool {
-    std::env::var("RECOVERY_MATRIX_SMOKE").is_ok()
-}
-
-fn shard_counts() -> Vec<usize> {
-    if smoke() {
-        vec![2]
-    } else {
-        vec![1, 2, 8]
-    }
-}
+const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn workloads() -> Vec<(&'static str, MultiGraph)> {
-    let mut families = vec![(
-        "sparse-er",
-        sparse_connected_erdos_renyi(&GeneratorConfig::new(64, 41), 5.0).unwrap(),
-    )];
-    if !smoke() {
-        families.push((
+    vec![
+        (
+            "sparse-er",
+            sparse_connected_erdos_renyi(&GeneratorConfig::new(64, 41), 5.0).unwrap(),
+        ),
+        (
             "scale-free",
             barabasi_albert(&GeneratorConfig::new(64, 42), 3).unwrap(),
-        ));
-        families.push((
+        ),
+        (
             "communities",
             sparse_planted_partition(&GeneratorConfig::new(64, 43), 4, 7.0, 1.0).unwrap(),
-        ));
-    }
-    families
+        ),
+    ]
 }
 
 /// The checkpoint rounds to interrupt at, given the uninterrupted run took
-/// `total` rounds. Round 0 (before initialization) and the last boundary
-/// are always interesting; smoke mode keeps only the middle.
+/// `total` rounds: round 0 (before initialization), round 1, the middle
+/// and the last boundary.
 fn kill_rounds(total: u32) -> Vec<u32> {
-    if smoke() {
-        return vec![(total / 2).clamp(1, total.max(1))];
-    }
     let candidates = [0, 1, total / 2, total.saturating_sub(1)];
     candidates
         .into_iter()
@@ -200,7 +183,7 @@ fn assert_kill_resume_identity<P, O, T>(
 #[test]
 fn luby_mis_kill_resume_is_bit_identical_in_process() {
     for (name, graph) in workloads() {
-        for shards in shard_counts() {
+        for shards in SHARD_COUNTS {
             assert_kill_resume_identity(
                 &graph,
                 1,
@@ -222,7 +205,7 @@ fn luby_mis_kill_resume_is_bit_identical_in_process() {
 #[test]
 fn randomized_coloring_kill_resume_is_bit_identical_in_process() {
     for (name, graph) in workloads() {
-        for shards in shard_counts() {
+        for shards in SHARD_COUNTS {
             assert_kill_resume_identity(
                 &graph,
                 2,
@@ -244,7 +227,7 @@ fn randomized_coloring_kill_resume_is_bit_identical_in_process() {
 #[test]
 fn ball_gathering_kill_resume_is_bit_identical_in_process() {
     for (name, graph) in workloads() {
-        for shards in shard_counts() {
+        for shards in SHARD_COUNTS {
             assert_kill_resume_identity(
                 &graph,
                 3,
@@ -269,7 +252,7 @@ fn kill_resume_is_bit_identical_on_the_mock_backend() {
     // as its encoded bytes *and* every delivered payload crosses the
     // barrier encode/decoded, so this row pins both codec paths at once.
     for (name, graph) in workloads() {
-        for shards in shard_counts() {
+        for shards in SHARD_COUNTS {
             assert_kill_resume_identity(
                 &graph,
                 1,
@@ -305,7 +288,7 @@ fn kill_resume_is_bit_identical_under_composed_fault_and_churn_plans() {
             .with_delete_rate(0.03)
             .with_node_leave(2, NodeId::from_usize(n / 3))
             .with_node_join(5, NodeId::from_usize(n / 3));
-        for shards in shard_counts() {
+        for shards in SHARD_COUNTS {
             assert_kill_resume_identity(
                 &graph,
                 7,
@@ -381,11 +364,7 @@ fn checkpoint_files_round_trip_and_reject_torn_or_corrupt_bytes() {
 #[test]
 fn restore_rejects_a_checkpoint_from_a_different_topology() {
     let mut w = workloads();
-    let graph_b = if w.len() > 1 {
-        w.remove(1).1
-    } else {
-        barabasi_albert(&GeneratorConfig::new(64, 42), 3).unwrap()
-    };
+    let graph_b = w.remove(1).1;
     let graph_a = w.remove(0).1;
     let factory = |node: NodeId, _: &InitialKnowledge| BallGathering::new(node, 3);
     let mut network = Network::new(&graph_a, NetworkConfig::with_seed(5), factory).unwrap();
@@ -526,7 +505,7 @@ fn tcp_rank_kill_and_relaunch_is_bit_identical_to_the_uninterrupted_run() {
     let ref_metrics = reference.metrics().clone();
     let ref_ledger = reference.ledger().clone();
 
-    for shards in shard_counts() {
+    for shards in SHARD_COUNTS {
         let kill_round = 2;
         let (views, recovered) =
             tcp_kill_relaunch(&graph, 9, 20, shards, kill_round, factory, extract);
