@@ -86,7 +86,6 @@ impl MaximalMatching {
 
     fn live_edges(&self, ctx: &Context<'_, MatchingMessage>) -> Vec<EdgeId> {
         ctx.ports()
-            .iter()
             .filter_map(|p| p.edge_id)
             .filter(|e| !self.dead_edges.contains(e) && Some(*e) != self.matched_over)
             .collect()

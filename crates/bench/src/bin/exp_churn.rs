@@ -35,7 +35,9 @@ use freelunch_core::maintain::IncrementalSpanner;
 use freelunch_core::reduction::tlocal::t_local_broadcast;
 use freelunch_graph::spanner_check::verify_edge_stretch;
 use freelunch_graph::{CsrGraph, MultiGraph};
-use freelunch_runtime::{ChurnDriver, ChurnEvent, ChurnPlan, Network, NetworkConfig};
+use freelunch_runtime::{
+    ChurnDriver, ChurnEvent, ChurnPlan, FaultPlan, InProcessTransport, Network, NetworkConfig,
+};
 
 /// Locality parameter of the broadcast stage.
 const T: u32 = 2;
@@ -81,9 +83,15 @@ fn churned_network_digest(
     rounds: u32,
 ) -> (u64, u64, Vec<Vec<u32>>) {
     let config = NetworkConfig::with_seed(SEED).sharded(shards);
-    let mut network =
-        Network::with_churn_plan(graph, config, plan, |node, _| BallGathering::new(node, T))
-            .expect("network builds");
+    let mut network = Network::with_plans(
+        graph,
+        config,
+        FaultPlan::none(),
+        plan,
+        InProcessTransport::new(),
+        |node, _| BallGathering::new(node, T),
+    )
+    .expect("network builds");
     network.run_rounds(rounds).expect("churned run completes");
     let outputs = network.programs().iter().map(|p| p.known_ids()).collect();
     (

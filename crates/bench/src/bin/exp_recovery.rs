@@ -34,7 +34,7 @@ use freelunch_bench::{
     cell_f64, cell_str, cell_u64, tables_to_json, ExperimentTable, ScalingWorkload,
 };
 use freelunch_graph::{MultiGraph, NodeId};
-use freelunch_runtime::transport::{RecoveryPolicy, TcpConfig, TcpTransport};
+use freelunch_runtime::transport::{InProcessTransport, RecoveryPolicy, TcpConfig, TcpTransport};
 use freelunch_runtime::{
     ChurnPlan, ExecutionMetrics, FaultPlan, InitialKnowledge, MessageLedger, Network,
     NetworkCheckpoint, NetworkConfig,
@@ -99,8 +99,15 @@ fn measure_interval(
     drop(network);
     let restore_started = Instant::now();
     let checkpoint = NetworkCheckpoint::from_bytes(&last_bytes).expect("checkpoint reloads");
-    let mut resumed =
-        Network::restore(graph, &checkpoint, mis_factory).expect("checkpoint restores");
+    let mut resumed = Network::restore_with_plans(
+        graph,
+        FaultPlan::none(),
+        ChurnPlan::none(),
+        InProcessTransport::new(),
+        &checkpoint,
+        mis_factory,
+    )
+    .expect("checkpoint restores");
     resumed.run_until_halt(BUDGET).expect("resumed run halts");
     let restore_elapsed = restore_started.elapsed();
 

@@ -138,7 +138,7 @@ pub struct Level0Program {
 impl Level0Program {
     /// Creates the program for one node given its initial knowledge.
     pub fn new(config: Level0Config, knowledge: &InitialKnowledge) -> Self {
-        let unexplored = knowledge.ports.iter().filter_map(|p| p.edge_id).collect();
+        let unexplored = knowledge.ports().filter_map(|p| p.edge_id).collect();
         Level0Program {
             config,
             is_center: false,

@@ -206,13 +206,12 @@ pub struct PendingEnvelope {
 /// boundary (see the [module docs](self) for what it captures and the
 /// bit-identity contract).
 ///
-/// Capture with [`Network::checkpoint`], resume with [`Network::restore`]
-/// or [`Network::restore_with_plans`], persist with
+/// Capture with [`Network::checkpoint`], resume with
+/// [`Network::restore_with_plans`], persist with
 /// [`NetworkCheckpoint::write_to_file`].
 ///
 /// [`Network`]: crate::engine::Network
 /// [`Network::checkpoint`]: crate::engine::Network::checkpoint
-/// [`Network::restore`]: crate::engine::Network::restore
 /// [`Network::restore_with_plans`]: crate::engine::Network::restore_with_plans
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkCheckpoint {

@@ -345,7 +345,7 @@ impl ChurnPlan {
 /// [`OverlayGraph`] and produces each round's canonical event list.
 ///
 /// The engine drives one internally when constructed with a plan
-/// ([`Network::with_churn_plan`](crate::engine::Network::with_churn_plan));
+/// ([`Network::with_plans`](crate::engine::Network::with_plans));
 /// benches and tests can also drive one directly to mirror the exact event
 /// stream an engine execution would see (the stream is a pure function of
 /// `(plan, graph)`).

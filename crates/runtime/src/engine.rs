@@ -112,7 +112,7 @@ use crate::checkpoint::{debug_digest, graph_fingerprint, NetworkCheckpoint, Pend
 use crate::churn::{ChurnDriver, ChurnEvent, ChurnPlan};
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::fault::{FaultPlan, MessageFate, ResolvedFaultPlan};
-use crate::knowledge::{initial_knowledge, InitialKnowledge, KnowledgeModel};
+use crate::knowledge::{InitialKnowledge, KnowledgeModel};
 use crate::metrics::{edge_slot_count, CostReport, ExecutionMetrics, FaultCause, MessageLedger};
 use crate::node::{Context, Envelope, NodeProgram, Outgoing};
 use crate::trace::{Trace, TraceMode};
@@ -333,12 +333,14 @@ pub struct Network<
     T: Transport<<P as NodeProgram>::Message> = InProcessTransport<<P as NodeProgram>::Message>,
 > {
     /// Frozen CSR view of the communication graph: packed incidence arrays
-    /// whose per-node slices double as the contexts' port tables. The
-    /// network never needs the mutable [`MultiGraph`] after construction,
-    /// so this is the only copy it keeps.
+    /// whose per-node slices double as the contexts' port tables and as
+    /// every node's [`InitialKnowledge`]. The network never needs the
+    /// mutable [`MultiGraph`] after construction, so this is the only copy
+    /// it keeps.
     csr: CsrGraph,
     config: NetworkConfig,
-    knowledge: Vec<InitialKnowledge>,
+    /// The `log n` upper bound every node's [`InitialKnowledge`] carries.
+    log_n_upper_bound: u32,
     /// Dense raw-edge-ID → endpoints table
     /// ([`CsrGraph::endpoint_table`]): the single array read that
     /// validates a [`Context::send`].
@@ -448,52 +450,6 @@ impl<P: NodeProgram> Network<P> {
     ) -> RuntimeResult<Self> {
         Network::with_transport(graph, config, plan, InProcessTransport::new(), factory)
     }
-
-    /// Builds a network like [`Network::new`], additionally subjecting the
-    /// topology to the given deterministic [`ChurnPlan`]: edge
-    /// inserts/deletes and node joins/leaves applied in canonical order at
-    /// the top of each round, over a mutable [`OverlayGraph`] view of the
-    /// frozen graph. See [`churn`](crate::churn) for the event model and
-    /// `docs/CHURN.md` for the full contract.
-    ///
-    /// Installing the *empty* plan ([`ChurnPlan::is_empty`]) is guaranteed
-    /// to be byte-identical to [`Network::new`]: the engine does no churn
-    /// work at all in that case. With a non-empty plan, every observable
-    /// stays bit-identical across shard counts, trace modes, and transport
-    /// backends at equal `(config.seed, plan.seed)`.
-    ///
-    /// Semantics under churn (the parts visible to programs):
-    ///
-    /// * [`Context::broadcast`] and [`Context::send_port`] address the
-    ///   *live* incidence list (ports shift as edges come and go), while
-    ///   [`Context::knowledge`] stays the construction-time snapshot — the
-    ///   paper's initial-knowledge assumptions are about round 0;
-    /// * messages already in flight when their edge is deleted (or their
-    ///   receiver leaves) are still delivered — they were sent while the
-    ///   edge existed; a departed node simply never reads its inbox;
-    /// * a departed node is not stepped and counts as halted; a rejoining
-    ///   node is stepped again from its retained program state.
-    ///
-    /// # Errors
-    ///
-    /// Returns every error [`Network::new`] can, plus an invalid-config
-    /// error if the plan's rates are outside `[0, 1]` or a scheduled event
-    /// references a node outside the graph.
-    pub fn with_churn_plan(
-        graph: &MultiGraph,
-        config: NetworkConfig,
-        plan: ChurnPlan,
-        factory: impl FnMut(NodeId, &InitialKnowledge) -> P,
-    ) -> RuntimeResult<Self> {
-        Network::with_plans(
-            graph,
-            config,
-            FaultPlan::none(),
-            plan,
-            InProcessTransport::new(),
-            factory,
-        )
-    }
 }
 
 impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
@@ -523,10 +479,30 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
 
     /// The fully general constructor: an explicit delivery backend plus
     /// *both* deterministic plans — the [`FaultPlan`] of
-    /// [`Network::with_fault_plan`] and the [`ChurnPlan`] of
-    /// [`Network::with_churn_plan`]. Every other constructor delegates here
-    /// with the respective empty plan, so an empty plan is byte-identical
-    /// to not passing one by construction.
+    /// [`Network::with_fault_plan`] and a [`ChurnPlan`]. Every other
+    /// constructor delegates here with the respective empty plan, so an
+    /// empty plan is byte-identical to not passing one by construction.
+    ///
+    /// The churn plan subjects the topology to edge inserts/deletes and
+    /// node joins/leaves, applied in canonical order at the top of each
+    /// round over a mutable [`OverlayGraph`] view of the frozen graph. See
+    /// [`churn`](crate::churn) for the event model and `docs/CHURN.md` for
+    /// the full contract. With a non-empty plan, every observable stays
+    /// bit-identical across shard counts, trace modes, and transport
+    /// backends at equal `(config.seed, plan.seed)`.
+    ///
+    /// Semantics under churn (the parts visible to programs):
+    ///
+    /// * [`Context::broadcast`] and [`Context::send_port`] address the
+    ///   *live* incidence list (ports shift as edges come and go), while
+    ///   [`Context::knowledge`], [`Context::ports`] and [`Context::degree`]
+    ///   stay the construction-time snapshot — the paper's
+    ///   initial-knowledge assumptions are about round 0;
+    /// * messages already in flight when their edge is deleted (or their
+    ///   receiver leaves) are still delivered — they were sent while the
+    ///   edge existed; a departed node simply never reads its inbox;
+    /// * a departed node is not stepped and counts as halted; a rejoining
+    ///   node is stepped again from its retained program state.
     ///
     /// Faults and churn compose: churn is applied at the top of the round
     /// (before programs step), faults act on the messages those programs
@@ -535,9 +511,11 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     ///
     /// # Errors
     ///
-    /// The union of [`Network::with_transport`]'s,
-    /// [`Network::with_fault_plan`]'s and [`Network::with_churn_plan`]'s
-    /// error conditions.
+    /// Every error [`Network::with_transport`] and
+    /// [`Network::with_fault_plan`] can return; an invalid-config error if
+    /// `config.log_n_slack` is so large that the `log n` upper bound
+    /// overflows a `u32`, if the churn plan's rates are outside `[0, 1]`,
+    /// or if a scheduled churn event references a node outside the graph.
     pub fn with_plans(
         graph: &MultiGraph,
         config: NetworkConfig,
@@ -562,6 +540,14 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 "the work-stealing chunk size must be at least 1 node",
             ));
         }
+        let log_n_upper_bound =
+            crate::knowledge::log_n_upper_bound(graph.node_count(), config.log_n_slack)
+                .ok_or_else(|| {
+                    RuntimeError::invalid_config(format!(
+                        "a log_n_slack of {} overflows the u32 upper bound on log2 n",
+                        config.log_n_slack
+                    ))
+                })?;
         if config.trace_mode == TraceMode::Full && !transport.supports_tracing() {
             return Err(RuntimeError::invalid_config(
                 "this transport backend cannot record canonical-order traces \
@@ -589,11 +575,17 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 )));
             }
         }
-        let knowledge = initial_knowledge(&csr, config.knowledge, config.log_n_slack);
         let edge_slots = edge_slot_count(csr.edge_ids());
         let edge_endpoints = csr.endpoint_table();
         debug_assert_eq!(edge_endpoints.len(), edge_slots);
-        let programs: Vec<P> = knowledge.iter().map(|k| factory(k.node, k)).collect();
+        let programs: Vec<P> = csr
+            .nodes()
+            .map(|node| {
+                let knowledge =
+                    InitialKnowledge::new(&csr, node, config.knowledge, log_n_upper_bound);
+                factory(node, &knowledge)
+            })
+            .collect();
         let rngs = (0..graph.node_count())
             .map(|v| ChaCha8Rng::seed_from_u64(node_seed(config.seed, v)))
             .collect();
@@ -647,7 +639,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         Ok(Network {
             csr,
             config,
-            knowledge,
+            log_n_upper_bound,
             edge_endpoints,
             programs,
             rngs,
@@ -850,7 +842,8 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     fn execute_phase(&mut self, round: u32, phase: Phase) -> RuntimeResult<()> {
         let shards = self.shard_count();
         let csr = &self.csr;
-        let knowledge = &self.knowledge;
+        let model = self.config.knowledge;
+        let log_n_upper_bound = self.log_n_upper_bound;
         let edge_endpoints = &self.edge_endpoints;
         let mailboxes = &self.mailboxes;
         let faults = self.faults.as_ref();
@@ -864,6 +857,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                     halted: &mut bool|
          -> Option<RuntimeError> {
             outbox.clear();
+            let node = NodeId::from_usize(index);
             if let Some(faults) = faults {
                 // A crashed node is never stepped: its program state stays
                 // frozen, it sends nothing, and it counts as halted so
@@ -876,20 +870,21 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             // Under churn, a departed node is not stepped either — but its
             // program state is retained, so a later NodeJoin resumes it.
             if let Some(overlay) = overlay {
-                if !overlay.is_active(NodeId::from_usize(index)) {
+                if !overlay.is_active(node) {
                     *halted = true;
                     return None;
                 }
             }
             // The incidence slice programs address ports against: the live
-            // overlay view under churn, the frozen CSR otherwise.
+            // overlay view under churn, the frozen CSR otherwise. The
+            // knowledge view always reads the frozen CSR.
             let ports: &[IncidentEdge] = match overlay {
-                Some(overlay) => overlay.incident_edges(NodeId::from_usize(index)),
-                None => csr.incident_edges(NodeId::from_usize(index)),
+                Some(overlay) => overlay.incident_edges(node),
+                None => csr.incident_edges(node),
             };
             let silence: &[u32] = port_silence.get(index).map_or(&[], Vec::as_slice);
             let mut ctx = Context::new(
-                &knowledge[index],
+                InitialKnowledge::new(csr, node, model, log_n_upper_bound),
                 ports,
                 edge_endpoints,
                 round,
@@ -1360,11 +1355,12 @@ where
     }
 
     /// Rebuilds a network from `checkpoint`, resuming the execution at the
-    /// captured round boundary — the fully general restore, mirroring
-    /// [`Network::with_plans`]: the caller re-supplies the graph, both
-    /// plans, the transport, and a factory producing the same programs as
-    /// the original run (the factory runs first, then
-    /// [`NodeProgram::load_state`] overwrites each program's state).
+    /// captured round boundary. It mirrors [`Network::with_plans`]: the
+    /// caller re-supplies the graph, both plans (the empty ones for a
+    /// network built with [`Network::new`]), the transport, and a factory
+    /// producing the same programs as the original run (the factory runs
+    /// first, then [`NodeProgram::load_state`] overwrites each program's
+    /// state).
     ///
     /// The supplied graph and plans are validated against the checkpoint's
     /// fingerprints, and the churn history is *replayed* (rounds `0..=r`)
@@ -1376,9 +1372,10 @@ where
     ///
     /// [`RuntimeError::Checkpoint`] if the graph, fault plan, or churn plan
     /// differs from what the checkpoint was taken under, a section has the
-    /// wrong shape, a program or pending payload fails to decode, or the
+    /// wrong shape (a port-silence row must hold one counter per live port
+    /// of its node), a program or pending payload fails to decode, or the
     /// churn replay diverges — plus every error [`Network::with_plans`] can
-    /// return.
+    /// return for the checkpoint's config.
     pub fn restore_with_plans(
         graph: &MultiGraph,
         plan: FaultPlan,
@@ -1569,6 +1566,12 @@ where
             }
         }
         if let Some(silence) = &checkpoint.port_silence {
+            // After the replay the network holds one counter per live port
+            // of every node; a row of any other length would leave
+            // `Context::port_silence` out of step with the node's ports.
+            for (v, (row, live)) in silence.iter().zip(&network.port_silence).enumerate() {
+                shape(&format!("port_silence[{v}]"), row.len(), live.len())?;
+            }
             network.port_silence = silence.clone();
         }
         network.metrics = ExecutionMetrics {
@@ -1593,33 +1596,6 @@ where
             checkpoint.trace_dropped,
         );
         Ok(network)
-    }
-}
-
-impl<P: NodeProgram> Network<P>
-where
-    P::Message: WireCodec,
-{
-    /// Rebuilds a plan-free, in-process network from `checkpoint` — the
-    /// single-process counterpart of [`Network::restore_with_plans`], for
-    /// executions built with [`Network::new`].
-    ///
-    /// # Errors
-    ///
-    /// Every error [`Network::restore_with_plans`] can return.
-    pub fn restore(
-        graph: &MultiGraph,
-        checkpoint: &NetworkCheckpoint,
-        factory: impl FnMut(NodeId, &InitialKnowledge) -> P,
-    ) -> RuntimeResult<Self> {
-        Network::restore_with_plans(
-            graph,
-            FaultPlan::none(),
-            ChurnPlan::none(),
-            InProcessTransport::new(),
-            checkpoint,
-            factory,
-        )
     }
 }
 
@@ -2203,7 +2179,50 @@ mod tests {
         checkpoint.config.shards = usize::MAX;
         let checkpoint = NetworkCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
         assert!(matches!(
-            Network::restore(&graph, &checkpoint, |node, _| Flood::new(node)),
+            Network::restore_with_plans(
+                &graph,
+                FaultPlan::none(),
+                ChurnPlan::none(),
+                InProcessTransport::new(),
+                &checkpoint,
+                |node, _| Flood::new(node)
+            ),
+            Err(RuntimeError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn oversized_log_n_slack_is_rejected() {
+        let graph = cycle(4);
+        let mut config = NetworkConfig {
+            log_n_slack: u32::MAX,
+            ..NetworkConfig::default()
+        };
+        assert!(matches!(
+            Network::new(&graph, config, |node, _| Flood::new(node)),
+            Err(RuntimeError::InvalidConfig { .. })
+        ));
+        // The largest slack that fits: ceil(log2 4) = 2.
+        config.log_n_slack = u32::MAX - 2;
+        let network = Network::new(&graph, config, |node, knowledge| {
+            assert_eq!(knowledge.log_n_upper_bound, u32::MAX);
+            Flood::new(node)
+        })
+        .unwrap();
+        // A checkpoint file carries the slack as a raw u32: restore must
+        // reject an overflowing one like the constructor does.
+        let mut checkpoint = network.checkpoint();
+        checkpoint.config.log_n_slack = u32::MAX;
+        let checkpoint = NetworkCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
+        assert!(matches!(
+            Network::restore_with_plans(
+                &graph,
+                FaultPlan::none(),
+                ChurnPlan::none(),
+                InProcessTransport::new(),
+                &checkpoint,
+                |node, _| Flood::new(node)
+            ),
             Err(RuntimeError::InvalidConfig { .. })
         ));
     }
@@ -2585,6 +2604,39 @@ mod tests {
     }
 
     #[test]
+    fn forged_port_silence_row_is_rejected() {
+        let graph = cycle(6);
+        let plan = || FaultPlan::new(0).with_crash(NodeId::new(3), 0);
+        let mut network =
+            Network::with_fault_plan(&graph, NetworkConfig::default(), plan(), |node, _| {
+                Flood::new(node)
+            })
+            .unwrap();
+        network.run_rounds(2).unwrap();
+        let restore = |checkpoint: &NetworkCheckpoint| {
+            Network::restore_with_plans(
+                &graph,
+                plan(),
+                ChurnPlan::none(),
+                InProcessTransport::new(),
+                checkpoint,
+                |node, _| Flood::new(node),
+            )
+        };
+        let mut checkpoint = network.checkpoint();
+        assert!(restore(&checkpoint).is_ok());
+        // Node 1 has two ports, so its row must hold two counters.
+        checkpoint.port_silence.as_mut().unwrap()[1].clear();
+        let Err(err) = restore(&checkpoint) else {
+            panic!("a checkpoint with a forged port-silence row restored");
+        };
+        assert!(
+            matches!(&err, RuntimeError::Checkpoint { reason } if reason.contains("port_silence[1]")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn churn_renumbering_restarts_silence_counters() {
         /// Broadcasts every round and snapshots its port-silence counters in
         /// round 3.
@@ -2625,6 +2677,94 @@ mod tests {
         .unwrap();
         network.run_rounds(3).unwrap();
         assert_eq!(network.programs()[1].round_3, vec![0, 0]);
+    }
+
+    #[test]
+    fn churn_leaves_knowledge_ports_and_degree_at_round_0() {
+        /// What a node reads of its own adjacency: degree, edge IDs,
+        /// neighbor IDs, and `(port, edge, neighbor)` per port.
+        type View = (
+            usize,
+            Option<Vec<EdgeId>>,
+            Option<Vec<NodeId>>,
+            Vec<(usize, Option<EdgeId>, Option<NodeId>)>,
+        );
+        fn view(ctx: &Context<'_, ()>) -> View {
+            let mut ports = Vec::new();
+            for port in ctx.ports() {
+                ports.push((port.port, port.edge_id, port.neighbor));
+            }
+            let knowledge = ctx.knowledge();
+            (
+                ctx.degree(),
+                knowledge.incident_edge_ids(),
+                knowledge.neighbor_ids(),
+                ports,
+            )
+        }
+        /// Node 1 records its view at init and in round 1, when it also
+        /// broadcasts; every other node stays silent.
+        #[derive(Default)]
+        struct Probe {
+            views: Vec<View>,
+            broadcast: usize,
+        }
+        impl NodeProgram for Probe {
+            type Message = ();
+            fn init(&mut self, ctx: &mut Context<'_, ()>) {
+                if ctx.node() == NodeId::new(1) {
+                    self.views.push(view(ctx));
+                }
+            }
+            fn round(&mut self, ctx: &mut Context<'_, ()>, _inbox: &[Envelope<()>]) {
+                if ctx.node() == NodeId::new(1) && ctx.round() == 1 {
+                    self.views.push(view(ctx));
+                    self.broadcast = ctx.broadcast(());
+                }
+            }
+        }
+        // Node 1's round-0 ports on cycle(4) are e0 (to node 0) and e1 (to
+        // node 2). At the top of round 1, churn deletes e0 and inserts
+        // e4 = 1–3.
+        let graph = cycle(4);
+        let churn = ChurnPlan::new(0)
+            .with_edge_delete(1, EdgeId::new(0))
+            .with_edge_insert(1, NodeId::new(1), NodeId::new(3));
+        let mut network = Network::with_plans(
+            &graph,
+            NetworkConfig::default().knowledge(KnowledgeModel::Kt1),
+            FaultPlan::none(),
+            churn,
+            InProcessTransport::new(),
+            |_, _| Probe::default(),
+        )
+        .unwrap();
+        network.run_rounds(1).unwrap();
+        assert_eq!(
+            network.last_churn_events(),
+            &[
+                ChurnEvent::EdgeDelete {
+                    edge: EdgeId::new(0)
+                },
+                ChurnEvent::EdgeInsert {
+                    edge: EdgeId::new(4),
+                    u: NodeId::new(1),
+                    v: NodeId::new(3)
+                }
+            ]
+        );
+        let (e, n) = (EdgeId::new, NodeId::new);
+        let round_0: View = (
+            2,
+            Some(vec![e(0), e(1)]),
+            Some(vec![n(0), n(2)]),
+            vec![(0, Some(e(0)), Some(n(0))), (1, Some(e(1)), Some(n(2)))],
+        );
+        let probe = network.program(NodeId::new(1));
+        assert_eq!(probe.views, vec![round_0.clone(), round_0]);
+        // The broadcast went out over the live edges e1 and e4, not e0.
+        assert_eq!(probe.broadcast, 2);
+        assert_eq!(network.ledger().messages_per_edge(), &[0, 1, 0, 0, 1]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! (`is_crashed`, `crashed_nodes`), which exist for harnesses and invariant
 //! checkers rather than for the programs themselves.
 
-use freelunch_graph::{EdgeId, NodeId, Topology};
+use freelunch_graph::{CsrGraph, EdgeId, IncidentEdge, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// Which information a node holds about its incident edges before the first
@@ -49,7 +49,7 @@ impl KnowledgeModel {
 
 /// A single port of a node: the local view of one incident edge, filtered
 /// through the knowledge model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Port {
     /// Local port number, `0..degree`, always known.
     pub port: usize,
@@ -60,71 +60,76 @@ pub struct Port {
     pub neighbor: Option<NodeId>,
 }
 
-/// Everything a node knows when the execution starts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InitialKnowledge {
+/// Everything a node knows when the execution starts: a view of the node's
+/// incidence list in the network's frozen [`CsrGraph`], filtered through the
+/// knowledge model on every read. The view borrows the one copy of the graph
+/// the network keeps, so it is `Copy` and building it allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InitialKnowledge<'a> {
     /// The node's own ID (nodes always have unique IDs in our executions).
     pub node: NodeId,
     /// The knowledge model in force.
     pub model: KnowledgeModel,
-    /// One entry per incident edge (so `ports.len()` is the node's degree,
-    /// counting parallel edges).
-    pub ports: Vec<Port>,
     /// An upper bound on `log2 n`, correct up to a constant factor — model
     /// assumption (i) of Section 1.1.
     pub log_n_upper_bound: u32,
+    /// The node's incidence slice of the frozen graph, one entry per port.
+    incident: &'a [IncidentEdge],
 }
 
-impl InitialKnowledge {
+impl<'a> InitialKnowledge<'a> {
+    /// The view of `node`'s incidence list in `graph` under `model`.
+    pub(crate) fn new(
+        graph: &'a CsrGraph,
+        node: NodeId,
+        model: KnowledgeModel,
+        log_n_upper_bound: u32,
+    ) -> Self {
+        InitialKnowledge {
+            node,
+            model,
+            log_n_upper_bound,
+            incident: graph.incident_edges(node),
+        }
+    }
+
     /// The node's degree (number of incident edges, with multiplicity).
     pub fn degree(&self) -> usize {
-        self.ports.len()
+        self.incident.len()
+    }
+
+    /// One [`Port`] per incident edge, in port order, each built on read
+    /// with the fields the knowledge model exposes.
+    pub fn ports(&self) -> impl ExactSizeIterator<Item = Port> + 'a {
+        let model = self.model;
+        self.incident
+            .iter()
+            .enumerate()
+            .map(move |(port, incident)| Port {
+                port,
+                edge_id: model.exposes_edge_ids().then_some(incident.edge),
+                neighbor: model.exposes_neighbor_ids().then_some(incident.neighbor),
+            })
     }
 
     /// The IDs of all incident edges, if the knowledge model exposes them.
     pub fn incident_edge_ids(&self) -> Option<Vec<EdgeId>> {
-        self.ports.iter().map(|p| p.edge_id).collect()
+        self.ports().map(|p| p.edge_id).collect()
     }
 
     /// The IDs of all neighbors (with multiplicity), if the knowledge model
     /// exposes them.
     pub fn neighbor_ids(&self) -> Option<Vec<NodeId>> {
-        self.ports.iter().map(|p| p.neighbor).collect()
+        self.ports().map(|p| p.neighbor).collect()
     }
 }
 
-/// Computes the initial knowledge of every node of `graph` under `model`.
-///
-/// The `log n` upper bound handed to the nodes is `ceil(log2 n) + slack`,
-/// modelling the paper's "O(1)-approximate upper bound on log n".
-pub fn initial_knowledge<G: Topology>(
-    graph: &G,
-    model: KnowledgeModel,
-    log_n_slack: u32,
-) -> Vec<InitialKnowledge> {
-    let n = graph.node_count().max(2) as f64;
-    let log_n_upper_bound = n.log2().ceil() as u32 + log_n_slack;
-    graph
-        .nodes()
-        .map(|node| {
-            let ports = graph
-                .incident_edges(node)
-                .iter()
-                .enumerate()
-                .map(|(port, incident)| Port {
-                    port,
-                    edge_id: model.exposes_edge_ids().then_some(incident.edge),
-                    neighbor: model.exposes_neighbor_ids().then_some(incident.neighbor),
-                })
-                .collect();
-            InitialKnowledge {
-                node,
-                model,
-                ports,
-                log_n_upper_bound,
-            }
-        })
-        .collect()
+/// The `log n` upper bound handed to the nodes of an `n`-node graph:
+/// `ceil(log2 n) + slack`, modelling the paper's "O(1)-approximate upper
+/// bound on log n". `None` if the sum does not fit a `u32`.
+pub(crate) fn log_n_upper_bound(node_count: usize, slack: u32) -> Option<u32> {
+    let n = node_count.max(2) as f64;
+    (n.log2().ceil() as u32).checked_add(slack)
 }
 
 #[cfg(test)]
@@ -136,13 +141,26 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn small_graph() -> MultiGraph {
+    fn small_graph() -> CsrGraph {
         // 0-1, 0-1 (parallel), 1-2
         let mut g = MultiGraph::new(3);
         g.add_edge(n(0), n(1)).unwrap();
         g.add_edge(n(0), n(1)).unwrap();
         g.add_edge(n(1), n(2)).unwrap();
-        g
+        g.freeze()
+    }
+
+    /// Every node's view, as the engine hands it to the factory.
+    fn initial_knowledge(
+        graph: &CsrGraph,
+        model: KnowledgeModel,
+        slack: u32,
+    ) -> Vec<InitialKnowledge<'_>> {
+        let bound = log_n_upper_bound(graph.node_count(), slack).unwrap();
+        graph
+            .nodes()
+            .map(|node| InitialKnowledge::new(graph, node, model, bound))
+            .collect()
     }
 
     #[test]
@@ -163,7 +181,7 @@ mod tests {
         assert_eq!(knowledge[1].degree(), 3);
         assert!(knowledge[1].incident_edge_ids().is_none());
         assert!(knowledge[1].neighbor_ids().is_none());
-        assert_eq!(knowledge[1].ports[0].port, 0);
+        assert_eq!(knowledge[1].ports().next().map(|p| p.port), Some(0));
     }
 
     #[test]
@@ -194,7 +212,7 @@ mod tests {
 
     #[test]
     fn single_node_graph_has_sane_bound() {
-        let g = MultiGraph::new(1);
+        let g = MultiGraph::new(1).freeze();
         let knowledge = initial_knowledge(&g, KnowledgeModel::Kt0, 0);
         assert_eq!(knowledge.len(), 1);
         assert_eq!(knowledge[0].degree(), 0);

@@ -68,11 +68,13 @@ pub struct Outgoing<M> {
 /// teleport messages.
 #[derive(Debug)]
 pub struct Context<'a, M> {
-    pub(crate) knowledge: &'a InitialKnowledge,
-    /// The node's packed incidence slice (one entry per local port, with the
-    /// edge and the opposite endpoint). This is how `KT0` programs send
-    /// without ever learning global edge IDs: they address ports, the
-    /// runtime translates.
+    /// The node's view of its construction-time incidence list.
+    pub(crate) knowledge: InitialKnowledge<'a>,
+    /// The node's live packed incidence slice (one entry per local port,
+    /// with the edge and the opposite endpoint): the frozen CSR slice, or
+    /// the overlay's under churn. This is how `KT0` programs send without
+    /// ever learning global edge IDs: they address ports, the runtime
+    /// translates.
     pub(crate) ports: &'a [IncidentEdge],
     /// Dense raw-edge-ID → endpoints table shared by every node: the one
     /// array read that validates a [`Context::send`].
@@ -93,7 +95,7 @@ pub struct Context<'a, M> {
 
 impl<'a, M> Context<'a, M> {
     pub(crate) fn new(
-        knowledge: &'a InitialKnowledge,
+        knowledge: InitialKnowledge<'a>,
         ports: &'a [IncidentEdge],
         edge_endpoints: &'a [[u32; 2]],
         round: u32,
@@ -120,19 +122,27 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// The node's degree (number of incident edges, with multiplicity).
+    /// Under churn this stays the construction-time degree, while
+    /// [`Context::broadcast`] and [`Context::send_port`] address the live
+    /// incidence list.
     pub fn degree(&self) -> usize {
         self.knowledge.degree()
     }
 
     /// The node's initial knowledge (ports, edge IDs, neighbor IDs — as
-    /// permitted by the knowledge model).
-    pub fn knowledge(&self) -> &InitialKnowledge {
+    /// permitted by the knowledge model). Under churn this stays the
+    /// construction-time view: the paper's initial-knowledge assumptions are
+    /// about round 0.
+    pub fn knowledge(&self) -> InitialKnowledge<'a> {
         self.knowledge
     }
 
-    /// The node's ports (one per incident edge).
-    pub fn ports(&self) -> &[Port] {
-        &self.knowledge.ports
+    /// The node's ports (one per incident edge), as in
+    /// [`InitialKnowledge::ports`]. Under churn these stay the
+    /// construction-time ports, while [`Context::send_port`] numbers the
+    /// live incidence list.
+    pub fn ports(&self) -> impl ExactSizeIterator<Item = Port> + 'a {
+        self.knowledge.ports()
     }
 
     /// The current round number (0 during initialization, then 1, 2, …).
@@ -338,19 +348,23 @@ pub trait NodeProgram: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knowledge::{initial_knowledge, KnowledgeModel};
+    use crate::knowledge::{log_n_upper_bound, KnowledgeModel};
     use freelunch_graph::MultiGraph;
     use rand::SeedableRng;
 
-    fn sample_graph() -> MultiGraph {
+    fn sample_graph() -> CsrGraph {
         let mut g = MultiGraph::new(3);
         g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
         g.add_edge(NodeId::new(0), NodeId::new(2)).unwrap();
-        g
+        g.freeze()
     }
 
-    fn sample_knowledge(model: KnowledgeModel) -> Vec<InitialKnowledge> {
-        initial_knowledge(&sample_graph(), model, 1)
+    fn sample_knowledge(graph: &CsrGraph, model: KnowledgeModel) -> Vec<InitialKnowledge<'_>> {
+        let bound = log_n_upper_bound(graph.node_count(), 1).unwrap();
+        graph
+            .nodes()
+            .map(|node| InitialKnowledge::new(graph, node, model, bound))
+            .collect()
     }
 
     fn ports_of(node: u32) -> Vec<IncidentEdge> {
@@ -359,18 +373,19 @@ mod tests {
 
     fn endpoints_table() -> Vec<[u32; 2]> {
         // The real construction the engine feeds Context with.
-        sample_graph().freeze().endpoint_table()
+        sample_graph().endpoint_table()
     }
 
     #[test]
     fn context_exposes_local_view() {
-        let knowledge = sample_knowledge(KnowledgeModel::UniqueEdgeIds);
+        let graph = sample_graph();
+        let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox = Vec::new();
         let ctx: Context<'_, u32> = Context::new(
-            &knowledge[0],
+            knowledge[0],
             &ports,
             &endpoints,
             3,
@@ -390,14 +405,15 @@ mod tests {
 
     #[test]
     fn port_silence_is_exposed_when_instrumented() {
-        let knowledge = sample_knowledge(KnowledgeModel::UniqueEdgeIds);
+        let graph = sample_graph();
+        let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<u8>> = Vec::new();
         let silence = [0u32, 4];
         let ctx = Context::new(
-            &knowledge[0],
+            knowledge[0],
             &ports,
             &endpoints,
             1,
@@ -411,13 +427,14 @@ mod tests {
 
     #[test]
     fn send_and_broadcast_queue_resolved_messages() {
-        let knowledge = sample_knowledge(KnowledgeModel::UniqueEdgeIds);
+        let graph = sample_graph();
+        let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox = Vec::new();
         let mut ctx: Context<'_, &'static str> = Context::new(
-            &knowledge[0],
+            knowledge[0],
             &ports,
             &endpoints,
             1,
@@ -439,14 +456,15 @@ mod tests {
 
     #[test]
     fn invalid_sends_are_rejected_at_send_time() {
-        let knowledge = sample_knowledge(KnowledgeModel::UniqueEdgeIds);
+        let graph = sample_graph();
+        let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
         // Node 1 is incident to edge 0 only.
         let ports = ports_of(1);
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<u8>> = Vec::new();
         let mut ctx = Context::new(
-            &knowledge[1],
+            knowledge[1],
             &ports,
             &endpoints,
             1,
@@ -472,13 +490,14 @@ mod tests {
 
     #[test]
     fn unknown_edge_is_distinguished_from_non_incident() {
-        let knowledge = sample_knowledge(KnowledgeModel::UniqueEdgeIds);
+        let graph = sample_graph();
+        let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<u8>> = Vec::new();
         let mut ctx = Context::new(
-            &knowledge[0],
+            knowledge[0],
             &ports,
             &endpoints,
             1,
@@ -502,13 +521,14 @@ mod tests {
             KnowledgeModel::UniqueEdgeIds,
             KnowledgeModel::Kt1,
         ] {
-            let knowledge = sample_knowledge(model);
+            let graph = sample_graph();
+            let knowledge = sample_knowledge(&graph, model);
             let ports = ports_of(0);
             let endpoints = endpoints_table();
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let mut outbox = Vec::new();
             let mut ctx: Context<'_, u8> = Context::new(
-                &knowledge[0],
+                knowledge[0],
                 &ports,
                 &endpoints,
                 1,
@@ -524,13 +544,14 @@ mod tests {
 
     #[test]
     fn halt_flag_is_recorded() {
-        let knowledge = sample_knowledge(KnowledgeModel::Kt1);
+        let graph = sample_graph();
+        let knowledge = sample_knowledge(&graph, KnowledgeModel::Kt1);
         let ports = ports_of(1);
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<()>> = Vec::new();
         let mut ctx = Context::new(
-            &knowledge[1],
+            knowledge[1],
             &ports,
             &endpoints,
             1,
@@ -546,7 +567,8 @@ mod tests {
     #[test]
     fn rng_is_deterministic_per_seed() {
         use rand::Rng;
-        let knowledge = sample_knowledge(KnowledgeModel::Kt1);
+        let graph = sample_graph();
+        let knowledge = sample_knowledge(&graph, KnowledgeModel::Kt1);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
         let mut rng_a = ChaCha8Rng::seed_from_u64(9);
@@ -554,7 +576,7 @@ mod tests {
         let mut outbox_a: Vec<Outgoing<()>> = Vec::new();
         let mut outbox_b: Vec<Outgoing<()>> = Vec::new();
         let mut ctx_a = Context::new(
-            &knowledge[0],
+            knowledge[0],
             &ports,
             &endpoints,
             1,
@@ -564,7 +586,7 @@ mod tests {
         );
         let a: u64 = ctx_a.rng().gen();
         let mut ctx_b = Context::new(
-            &knowledge[0],
+            knowledge[0],
             &ports,
             &endpoints,
             1,

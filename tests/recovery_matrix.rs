@@ -370,7 +370,15 @@ fn restore_rejects_a_checkpoint_from_a_different_topology() {
     let mut network = Network::new(&graph_a, NetworkConfig::with_seed(5), factory).unwrap();
     network.run_rounds(1).unwrap();
     let checkpoint = network.checkpoint();
-    let err = Network::restore(&graph_b, &checkpoint, factory).unwrap_err();
+    let err = Network::restore_with_plans(
+        &graph_b,
+        FaultPlan::none(),
+        ChurnPlan::none(),
+        InProcessTransport::new(),
+        &checkpoint,
+        factory,
+    )
+    .unwrap_err();
     assert!(
         matches!(&err, RuntimeError::Checkpoint { reason } if reason.contains("graph")),
         "topology mismatch not diagnosed: {err}"
