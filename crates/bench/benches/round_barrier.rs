@@ -5,10 +5,10 @@
 //! The measured program broadcasts one fixed `u64` per incident edge per
 //! round and does nothing else, so each timed iteration is one round of the
 //! barrier in steady state (the network is prewarmed: every mailbox is
-//! already sized and all outbox and bucket capacity is grown, making the
-//! zero-allocation round path the thing on the clock). A regression in the
-//! barrier shows up here even when the `exp_scaling` end-to-end numbers are
-//! masked by program cost.
+//! already sized and all scratch-outbox and grid-bucket capacity is
+//! grown, making the zero-allocation round path the thing on the clock).
+//! A regression in the barrier shows up here even when the `exp_scaling`
+//! end-to-end numbers are masked by program cost.
 //!
 //! Set `ROUND_BARRIER_SMOKE=1` to shrink the workload for CI (compile +
 //! one-iteration smoke).

@@ -8,13 +8,18 @@
 //!
 //! # The message plane
 //!
-//! Messages live in **one plane of per-node mailboxes**: the programs read
-//! their inboxes from it during the execute phase, and only then does the
-//! round barrier clear it and refill it with the messages they sent. The
-//! barrier counts each receiver's incoming messages first, so a mailbox is
-//! allocated once, at its exact size, and later rounds reuse it — in
-//! steady state a round performs **no per-message allocation**: outboxes,
-//! mailboxes and metrics scratch are all reused across rounds.
+//! Messages live in **one plane of per-node mailboxes** and **one send
+//! grid**. The programs read their inboxes from the mailboxes during the
+//! execute phase and write their sends into the grid, whose row `r` holds
+//! the sends of execute chunk `r` (an ascending range of nodes) and whose
+//! column `c` those addressed to receiver range `c`, so every bucket keeps
+//! canonical (sender, send) order. Only then does the round barrier clear
+//! the mailboxes and drain the grid into them. The barrier counts each
+//! receiver's incoming messages first, so a mailbox is allocated once, at
+//! its exact size, and later rounds reuse it — in steady state a round
+//! performs **no per-message allocation**: grid buckets, the workers'
+//! scratch outboxes and the mailboxes are all reused across rounds. Each
+//! message is written twice: into its bucket, then into its mailbox.
 //! Sends are resolved when the program makes them ([`Context::send_port`]
 //! reads the receiver straight off the node's packed CSR incidence slice;
 //! [`Context::send`] validates with one dense array read), so the barrier
@@ -33,30 +38,31 @@
 //!   queue** until none remain, so a skewed workload (scale-free hubs, a
 //!   half-halted graph) cannot idle every worker behind one overloaded
 //!   range. A chunk size of `⌈owned/shards⌉` gives one contiguous range per
-//!   shard;
+//!   shard. A worker steps each node against its scratch outbox and, while
+//!   the sends are in cache, resolves their fault fates, sizes and counts
+//!   them and moves them into its chunk's grid row;
 //! * the *dispatch* phase delivers at the round barrier with
-//!   **receiver-chunked workers**: a route step buckets the canonical
-//!   node-ordered outboxes into a (sender chunk × receiver chunk) grid,
-//!   then workers claim receiver chunks, size each cleared mailbox from a
-//!   count of its bucket column, and drain the column in ascending
-//!   sender-chunk order, accumulating per-edge ledger partials as they
-//!   go; the partials are merged into the [`MessageLedger`] when the
-//!   barrier closes. Each receiver's mailbox is filled in ascending sender
-//!   order (and, per sender, in send order): the exact order the
-//!   sequential engine produces.
+//!   **receiver-chunked workers**: they claim grid columns, size each
+//!   cleared mailbox from a count of its column, and drain the column in
+//!   row order, accumulating per-edge ledger partials as they go; the
+//!   partials are merged into the [`MessageLedger`] when the barrier
+//!   closes. Each receiver's mailbox is filled in ascending sender order
+//!   (and, per sender, in send order): the exact order the sequential
+//!   engine produces.
 //!
 //! Work-stealing changes only *which worker* steps a node, and that is
 //! unobservable: every node writes only its own pre-allocated slots
-//! (program state, RNG, outbox, halted flag — chunks are disjoint `&mut`
-//! sub-slices each claimed exactly once), each node draws from its own
-//! seeded [`ChaCha8Rng`] stream keyed by `(seed, node)`, and the barrier
-//! reads everything back in canonical node order. A failing round reports
-//! the canonically **first** error (lowest node index): claims are
-//! ascending, so each worker keeps the first error it meets, and the lowest
-//! of those wins after the join. Hence every observable of an execution —
-//! [`ExecutionMetrics`], [`MessageLedger`], [`Trace`], program outputs — is
-//! **bit-identical for every shard count and chunk size** at equal seeds.
-//! Both are wall-clock knobs, never semantics knobs.
+//! (program state, RNG, halted flag and send count, plus its chunk's grid
+//! row — chunks are disjoint `&mut` sub-slices each claimed exactly once),
+//! each node draws from its own seeded [`ChaCha8Rng`] stream keyed by
+//! `(seed, node)`, fault fates are keyed by the message, not the worker,
+//! and the barrier reads everything back in canonical node order. A failing
+//! round reports the canonically **first** error (lowest node index):
+//! claims are ascending, so each worker keeps the first error it meets, and
+//! the lowest of those wins after the join. Hence every observable of an
+//! execution — [`ExecutionMetrics`], [`MessageLedger`], [`Trace`], program
+//! outputs — is **bit-identical for every shard count and chunk size** at
+//! equal seeds. Both are wall-clock knobs, never semantics knobs.
 //!
 //! Per-message trace recording is priced separately: it is off by default
 //! ([`TraceMode::Off`]) and a traced execution ([`NetworkConfig::traced`])
@@ -70,8 +76,10 @@
 //! described above, [`TcpTransport`](crate::transport::TcpTransport) runs
 //! the same execution across processes, and
 //! [`MockTransport`](crate::transport::MockTransport) is a wire-faithful
-//! test double. Routing, fault injection, sender-side metrics and the
-//! run-loop live here and are backend-independent; every backend upholds
+//! test double. Send resolution, fault injection, sender-side metrics and
+//! the run-loop live here and are backend-independent; each backend states
+//! the column width of the grid it is handed
+//! ([`Transport::column_width`]), and every backend upholds
 //! the bit-identity contract of `docs/TRANSPORT.md`, so the *same* program,
 //! workload and seed produce the same outputs, [`ExecutionMetrics`] and
 //! [`MessageLedger`] on all of them. Build a network on a non-default
@@ -172,8 +180,8 @@ pub struct NetworkConfig {
     /// Target nodes per work-stealing chunk ([`DEFAULT_CHUNK_SIZE`] by
     /// default; 0 is rejected by [`Network::new`]). Smaller chunks balance
     /// skew better but are claimed more often; `⌈n/shards⌉` gives one
-    /// contiguous range per shard. The dispatch barrier additionally clamps
-    /// its chunk grid so its bucket matrix stays small — see
+    /// contiguous range per shard. Each chunk is one row of the send grid,
+    /// whose columns the transport sizes so the grid stays small — see
     /// `docs/PERF.md` §2 for tuning guidance.
     #[serde(default = "default_chunk_size")]
     pub chunk_size: usize,
@@ -247,25 +255,26 @@ fn node_seed(seed: u64, node: usize) -> u64 {
     crate::fault::splitmix64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Runs `work` on every item on up to `workers` workers and returns their
-/// accumulators. The calling thread is one of the workers, so one worker
-/// starts no thread and `k` workers start `k − 1` scoped threads.
+/// Runs `work` on every item, one worker per entry of `workers` (at least
+/// one; each entry is that worker's state), and returns the states. The calling
+/// thread is one of the workers, so one worker starts no thread and `k`
+/// workers start `k − 1` scoped threads; workers beyond the item count
+/// start nothing and come back untouched.
 ///
 /// Workers claim items in ascending order off one shared queue until it
 /// runs dry: a worker that drew cheap items keeps claiming while another
 /// grinds through a heavy one, and each worker meets its own items in
 /// ascending order. If `work` panics, the caller panics with the original
 /// payload once every worker has stopped.
-pub(crate) fn claim_each<I, A, F>(workers: usize, items: Vec<I>, work: F) -> Vec<A>
+pub(crate) fn claim_each<I, A, F>(workers: Vec<A>, items: Vec<I>, work: F) -> Vec<A>
 where
     I: Send,
-    A: Default + Send,
+    A: Send,
     F: Fn(&mut A, I) + Sync,
 {
-    let spawned = workers.min(items.len()).saturating_sub(1);
+    let spawned = workers.len().min(items.len()).saturating_sub(1);
     let queue = Mutex::new(items.into_iter());
-    let worker = || {
-        let mut acc = A::default();
+    let run = |mut acc: A| {
         loop {
             // The claim is its own statement, so the lock is released
             // before the item's work runs.
@@ -277,15 +286,26 @@ where
             work(&mut acc, item);
         }
     };
+    let mut workers = workers.into_iter();
+    let caller = workers
+        .next()
+        .expect("claim_each needs at least one worker");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(worker)).collect();
-        let mut accs = vec![worker()];
+        let run = &run;
+        let handles: Vec<_> = workers
+            .by_ref()
+            .take(spawned)
+            .map(|acc| scope.spawn(move || run(acc)))
+            .collect();
+        let mut accs = Vec::with_capacity(handles.len() + 1);
+        accs.push(run(caller));
         for handle in handles {
             match handle.join() {
                 Ok(acc) => accs.push(acc),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
+        accs.extend(workers);
         accs
     })
 }
@@ -353,10 +373,21 @@ pub struct Network<
     /// and the next barrier clears and refills it only after every program
     /// has read. Each mailbox keeps its capacity for the whole execution.
     mailboxes: Vec<Vec<Envelope<P::Message>>>,
-    /// Per-node outboxes, written by the execute phase and drained by the
-    /// dispatch phase; reused across rounds.
-    outboxes: Vec<Vec<Outgoing<P::Message>>>,
-    /// The delivery backend the round barrier hands its outboxes to.
+    /// The send grid, row-major: `grid[row * shape.columns + column]` holds
+    /// what the senders of execute chunk `row` sent to the receivers of
+    /// `column`, in canonical (sender, send) order. The execute phase fills
+    /// it and the transport drains it; every bucket keeps its capacity.
+    grid: Vec<Vec<Outgoing<P::Message>>>,
+    /// The grid's layout, fixed when the network is built.
+    shape: GridShape,
+    /// One state per execute worker, kept across rounds for the scratch
+    /// outbox its programs write into.
+    workers: Vec<ExecuteWorker<P::Message>>,
+    /// Messages each owned node put into the grid this round (its sends
+    /// after the fault plan), written by the execute phase and added to
+    /// the metrics at the barrier.
+    sent: Vec<u64>,
+    /// The delivery backend the round barrier hands the grid to.
     transport: T,
     /// The contiguous node range this engine steps locally
     /// ([`Transport::owned_range`]); the full range on single-process
@@ -384,9 +415,6 @@ pub struct Network<
     /// O(1) port lookup per delivered envelope. Built only under an
     /// installed fault plan; empty otherwise.
     edge_ports: Vec<[u32; 2]>,
-    /// Scratch buffer of the fault pre-pass (reused across rounds; empty and
-    /// untouched on the failure-free path).
-    fault_scratch: Vec<Outgoing<P::Message>>,
     /// Installed churn driver, holding the plan's keyed event streams and
     /// the mutable [`OverlayGraph`] view of the topology. `None` on the
     /// static fast path — including when the caller passed an *empty*
@@ -408,6 +436,112 @@ pub struct Network<
 enum Phase {
     Init,
     Round,
+}
+
+/// The layout of the send grid: row `r` is the execute chunk of owned
+/// nodes `owned.start + r·chunk ..`, column `c` the receivers
+/// `c·width .. (c + 1)·width`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GridShape {
+    /// Owned nodes per execute chunk, the unit the workers claim.
+    chunk: usize,
+    /// Receivers per column.
+    width: usize,
+    rows: usize,
+    columns: usize,
+}
+
+impl GridShape {
+    /// The one shape function. Execute chunks are `chunk_size` nodes, at
+    /// most `⌈owned/shards⌉` so a small graph still feeds every worker.
+    /// Columns are the `width` the transport states
+    /// ([`Transport::column_width`]), widened only where small chunks would
+    /// otherwise hold more buckets than one per owned node or the square
+    /// matrix of the stated columns: tiny chunks merge columns rather than
+    /// multiply bucket headers.
+    fn new(
+        owned: usize,
+        node_count: usize,
+        shards: usize,
+        chunk_size: usize,
+        width: usize,
+    ) -> Self {
+        let chunk = chunk_size.min(owned.div_ceil(shards)).max(1);
+        let rows = owned.div_ceil(chunk);
+        let stated = node_count.div_ceil(width.max(1));
+        let budget = owned.max(stated.saturating_mul(stated));
+        let columns = stated.min(budget / rows.max(1)).max(1);
+        let width = width.max(node_count.div_ceil(columns)).max(1);
+        GridShape {
+            chunk,
+            width,
+            rows,
+            columns: node_count.div_ceil(width),
+        }
+    }
+}
+
+/// Drops and duplications one execute worker's fates produced this round,
+/// charged to the ledger's fault column after the join.
+#[derive(Debug, Default, Clone, Copy)]
+struct FaultCounts {
+    random: u64,
+    link_cut: u64,
+    crash: u64,
+    duplicated: u64,
+}
+
+impl FaultCounts {
+    /// Resolves the fate of a node's `send`-th message of `round`: link
+    /// cut and receiver-crash gates first, then the keyed drop/duplicate
+    /// stream. Returns how many copies to deliver (0, 1 or 2) and counts
+    /// what the plan did.
+    fn copies<M>(
+        &mut self,
+        faults: &ResolvedFaultPlan,
+        round: u32,
+        send: usize,
+        outgoing: &Outgoing<M>,
+    ) -> usize {
+        if faults.link_cut_at(outgoing.edge.index(), round) {
+            self.link_cut += 1;
+            return 0;
+        }
+        // A message sent in round r is read in round r + 1; a receiver
+        // crashed by then never processes it.
+        if faults.crashed_at(outgoing.receiver.index(), round + 1) {
+            self.crash += 1;
+            return 0;
+        }
+        match faults.fate(round, outgoing.edge, outgoing.sender, send as u32) {
+            MessageFate::Deliver => 1,
+            MessageFate::Drop => {
+                self.random += 1;
+                0
+            }
+            MessageFate::Duplicate => {
+                self.duplicated += 1;
+                2
+            }
+        }
+    }
+
+    fn charge(self, ledger: &mut MessageLedger) {
+        ledger.record_dropped_bulk(FaultCause::Random, self.random);
+        ledger.record_dropped_bulk(FaultCause::LinkCut, self.link_cut);
+        ledger.record_dropped_bulk(FaultCause::Crash, self.crash);
+        ledger.record_duplicated_bulk(self.duplicated);
+    }
+}
+
+/// One execute worker's state: the scratch outbox the programs it steps
+/// write into (kept across rounds, so steady-state sends allocate
+/// nothing), the first error it met and its fault counts.
+#[derive(Debug)]
+struct ExecuteWorker<M> {
+    outbox: Vec<Outgoing<M>>,
+    first_error: Option<(usize, RuntimeError)>,
+    faults: FaultCounts,
 }
 
 impl<P: NodeProgram> Network<P> {
@@ -636,6 +770,14 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         } else {
             (Vec::new(), Vec::new())
         };
+        let shards = config.shards.min(owned.len()).max(1);
+        let shape = GridShape::new(
+            owned.len(),
+            node_count,
+            shards,
+            config.chunk_size,
+            transport.column_width(node_count, &config),
+        );
         Ok(Network {
             csr,
             config,
@@ -645,7 +787,18 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             rngs,
             halted: vec![false; node_count],
             mailboxes: (0..node_count).map(|_| Vec::new()).collect(),
-            outboxes: (0..node_count).map(|_| Vec::new()).collect(),
+            grid: (0..shape.rows * shape.columns)
+                .map(|_| Vec::new())
+                .collect(),
+            shape,
+            workers: (0..shards)
+                .map(|_| ExecuteWorker {
+                    outbox: Vec::new(),
+                    first_error: None,
+                    faults: FaultCounts::default(),
+                })
+                .collect(),
+            sent: vec![0; node_count],
             transport,
             owned,
             remote_halted: 0,
@@ -655,7 +808,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             faults,
             port_silence,
             edge_ports,
-            fault_scratch: Vec::new(),
             churn,
             churn_events: Vec::new(),
             trace: Trace::with_capacity(config.trace_capacity),
@@ -826,27 +978,33 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     }
 
     /// Execute phase: steps every program once (init or round) against its
-    /// inbox snapshot, writing resolved messages into the per-node
-    /// persistent outboxes and sizing their payloads
-    /// ([`NodeProgram::payload_bytes`]) on the worker that stepped the
-    /// node. The owned range is split into contiguous chunks of at most
-    /// [`NetworkConfig::chunk_size`] nodes, which the shard workers claim
-    /// through [`claim_each`], so skewed per-node costs cannot leave
-    /// workers idle at the barrier.
+    /// inbox snapshot and fills the send grid. The owned range is split into
+    /// the grid's rows, chunks of [`NetworkConfig::chunk_size`] nodes at
+    /// most, which the shard workers claim through [`claim_each`], so skewed
+    /// per-node costs cannot leave workers idle at the barrier.
     ///
-    /// An invalid send (unknown or non-incident edge) aborts the round at
-    /// the barrier — before anything is delivered or counted — reporting
-    /// the canonically first error (lowest node, earliest send): each
-    /// worker keeps the first error it meets, which is its lowest node
+    /// A worker runs each node's program against its scratch outbox, then,
+    /// while those sends are still in cache, resolves the fault plan's fate
+    /// of each in send order, sizes the survivors' payloads
+    /// ([`NodeProgram::payload_bytes`]), counts them and moves them into its
+    /// row's buckets by receiver column. A row is cleared when it is
+    /// claimed, so a grid left full by an aborted round never leaks into the
+    /// next. The workers' drop and duplicate counts are charged to the
+    /// ledger's fault column after the join.
+    ///
+    /// An invalid send (unknown or non-incident edge) aborts the round after
+    /// the join — before anything is charged, counted or delivered —
+    /// reporting the canonically first error (lowest node, earliest send):
+    /// each worker keeps the first error it meets, which is its lowest node
     /// because claims are ascending, and the lowest of those wins.
     fn execute_phase(&mut self, round: u32, phase: Phase) -> RuntimeResult<()> {
-        let shards = self.shard_count();
         let csr = &self.csr;
         let model = self.config.knowledge;
         let log_n_upper_bound = self.log_n_upper_bound;
         let edge_endpoints = &self.edge_endpoints;
         let mailboxes = &self.mailboxes;
         let faults = self.faults.as_ref();
+        let message_faults = faults.filter(|faults| faults.affects_messages());
         let port_silence = &self.port_silence;
         let overlay = self.churn.as_ref().map(ChurnDriver::overlay);
 
@@ -856,7 +1014,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                     outbox: &mut Vec<Outgoing<P::Message>>,
                     halted: &mut bool|
          -> Option<RuntimeError> {
-            outbox.clear();
             let node = NodeId::from_usize(index);
             if let Some(faults) = faults {
                 // A crashed node is never stepped: its program state stays
@@ -899,66 +1056,93 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             if ctx.halted {
                 *halted = true;
             }
-            let error = ctx.error.take();
-            // Size the payloads here, on the thread that stepped the node:
-            // the per-shard portion of the ledger accounting.
-            for outgoing in outbox.iter_mut() {
-                outgoing.bytes = P::payload_bytes(&outgoing.payload);
-            }
-            error
+            ctx.error.take()
         };
 
         let owned = self.owned.clone();
-        let chunk = self
-            .config
-            .chunk_size
-            .min(owned.len().div_ceil(shards))
-            .max(1);
+        let GridShape {
+            chunk,
+            width,
+            columns,
+            ..
+        } = self.shape;
         let chunks: Vec<_> = self.programs[owned.clone()]
             .chunks_mut(chunk)
             .zip(self.rngs[owned.clone()].chunks_mut(chunk))
-            .zip(self.outboxes[owned.clone()].chunks_mut(chunk))
             .zip(self.halted[owned.clone()].chunks_mut(chunk))
+            .zip(self.sent[owned.clone()].chunks_mut(chunk))
+            .zip(self.grid.chunks_mut(columns))
             .enumerate()
             .collect();
-        let firsts = claim_each(
-            shards,
+        let workers = claim_each(
+            std::mem::take(&mut self.workers),
             chunks,
-            |first: &mut Option<(usize, RuntimeError)>,
-             (slot, (((programs, rngs), outboxes), halted))| {
+            |worker: &mut ExecuteWorker<P::Message>,
+             (slot, ((((programs, rngs), halted), sent), row))| {
+                for bucket in row.iter_mut() {
+                    bucket.clear();
+                }
                 let base = owned.start + slot * chunk;
-                for (offset, (((program, rng), outbox), halted)) in programs
+                for (offset, (((program, rng), halted), sent)) in programs
                     .iter_mut()
                     .zip(rngs)
-                    .zip(outboxes)
                     .zip(halted)
+                    .zip(sent)
                     .enumerate()
                 {
-                    let error = step(base + offset, program, rng, outbox, halted);
-                    if first.is_none() {
-                        *first = error.map(|error| (base + offset, error));
+                    let index = base + offset;
+                    let error = step(index, program, rng, &mut worker.outbox, halted);
+                    if worker.first_error.is_none() {
+                        worker.first_error = error.map(|error| (index, error));
                     }
+                    let mut placed = 0;
+                    for (send, mut outgoing) in worker.outbox.drain(..).enumerate() {
+                        let copies = message_faults.map_or(1, |faults| {
+                            worker.faults.copies(faults, round, send, &outgoing)
+                        });
+                        if copies == 0 {
+                            continue;
+                        }
+                        outgoing.bytes = P::payload_bytes(&outgoing.payload);
+                        let bucket = &mut row[outgoing.receiver.index() / width];
+                        if copies == 2 {
+                            // A duplicate sits next to its original.
+                            bucket.push(outgoing.clone());
+                        }
+                        bucket.push(outgoing);
+                        placed += copies as u64;
+                    }
+                    *sent = placed;
                 }
             },
         );
-        match firsts.into_iter().flatten().min_by_key(|&(node, _)| node) {
+        self.workers = workers;
+        let first_error = self
+            .workers
+            .iter_mut()
+            .filter_map(|worker| worker.first_error.take())
+            .min_by_key(|&(index, _)| index);
+        for worker in &mut self.workers {
+            let faults = std::mem::take(&mut worker.faults);
+            if first_error.is_none() {
+                faults.charge(&mut self.ledger);
+            }
+        }
+        match first_error {
             Some((_, error)) => Err(error),
             None => Ok(()),
         }
     }
 
-    /// Dispatch phase: the round barrier. Applies the fault plan's message
-    /// faults (a no-op without one), counts every surviving outbox into the
-    /// metrics (sender-side, canonical node order), then hands the outboxes
-    /// to the [`Transport`] to clear and refill the mailbox plane, and
-    /// finally applies the plan's delivery perturbation. All sends were
+    /// Dispatch phase: the round barrier. Counts every node's grid messages
+    /// into the metrics (sender-side, canonical node order), then hands the
+    /// grid to the [`Transport`] to drain into the cleared mailbox plane,
+    /// and finally applies the plan's delivery perturbation. All sends were
     /// validated at send time, so on the in-process backend this phase
     /// cannot fail; wire backends can surface transport errors.
     fn dispatch_phase(&mut self, round: u32) -> RuntimeResult<()> {
-        self.apply_message_faults(round);
         let mut round_total = 0u64;
-        for (index, outbox) in self.outboxes.iter().enumerate() {
-            let count = outbox.len() as u64;
+        for (index, &count) in self.sent.iter().enumerate() {
             if count > 0 {
                 self.metrics.record_sends(index, count);
             }
@@ -969,11 +1153,11 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         let outcome = self.transport.deliver(RoundBarrier {
             round,
             shards: self.shard_count(),
-            chunk_size: self.config.chunk_size,
             traced,
             local_sent: round_total,
             halted: &self.halted,
-            outboxes: &mut self.outboxes,
+            grid: &mut self.grid,
+            column_width: self.shape.width,
             mailboxes: &mut self.mailboxes,
             metrics: &mut self.metrics,
             ledger: &mut self.ledger,
@@ -984,55 +1168,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         self.remote_halted = outcome.remote_halted;
         self.perturb_deliveries(round);
         Ok(())
-    }
-
-    /// Fault pre-pass of the barrier: walks the outboxes in canonical
-    /// (sender, send) order and resolves each message's fate against the
-    /// installed plan — link cut and receiver-crash gates first, then the
-    /// keyed drop/duplicate stream. Survivors stay in the outboxes (in
-    /// order, duplicates adjacent to their originals), so the untouched
-    /// serial and parallel delivery paths below both see the same
-    /// post-fault message sequence; drops and duplications are attributed
-    /// to the ledger's fault column right here, in canonical order.
-    ///
-    /// No-op (and allocation-free) without a message-affecting plan —
-    /// `tests/fault_matrix.rs` pins the clean-plan ≡ no-plan guarantee and
-    /// the `fault_overhead` bench prices this gate.
-    fn apply_message_faults(&mut self, round: u32) {
-        let Some(faults) = &self.faults else { return };
-        if !faults.affects_messages() {
-            return;
-        }
-        let ledger = &mut self.ledger;
-        let scratch = &mut self.fault_scratch;
-        for outbox in self.outboxes.iter_mut() {
-            if outbox.is_empty() {
-                continue;
-            }
-            scratch.clear();
-            for (msg_index, outgoing) in outbox.drain(..).enumerate() {
-                if faults.link_cut_at(outgoing.edge.index(), round) {
-                    ledger.record_dropped(FaultCause::LinkCut);
-                    continue;
-                }
-                // A message sent in round r is read in round r + 1; a
-                // receiver crashed by then never processes it.
-                if faults.crashed_at(outgoing.receiver.index(), round + 1) {
-                    ledger.record_dropped(FaultCause::Crash);
-                    continue;
-                }
-                match faults.fate(round, outgoing.edge, outgoing.sender, msg_index as u32) {
-                    MessageFate::Deliver => scratch.push(outgoing),
-                    MessageFate::Drop => ledger.record_dropped(FaultCause::Random),
-                    MessageFate::Duplicate => {
-                        ledger.record_duplicated();
-                        scratch.push(outgoing.clone());
-                        scratch.push(outgoing);
-                    }
-                }
-            }
-            std::mem::swap(outbox, scratch);
-        }
     }
 
     /// Applies the plan's seeded delivery permutation to every freshly
@@ -1373,7 +1508,8 @@ where
     /// [`RuntimeError::Checkpoint`] if the graph, fault plan, or churn plan
     /// differs from what the checkpoint was taken under, a section has the
     /// wrong shape (a port-silence row must hold one counter per live port
-    /// of its node), a program or pending payload fails to decode, or the
+    /// of its node), a program or pending payload fails to decode, a pending
+    /// message names an edge beyond the replayed graph's edge slots, or the
     /// churn replay diverges — plus every error [`Network::with_plans`] can
     /// return for the checkpoint's config.
     pub fn restore_with_plans(
@@ -1552,6 +1688,17 @@ where
             target.clear();
             target.reserve(mailbox.len());
             for (slot, envelope) in mailbox.iter().enumerate() {
+                // Bound the edge by the replayed endpoint table; incidence
+                // is not required, because an envelope over an edge deleted
+                // in the capture round is still delivered.
+                if envelope.edge >= network.edge_endpoints.len() as u64 {
+                    return Err(RuntimeError::checkpoint(format!(
+                        "pending message {slot} of node {index} is on edge {}, beyond the \
+                         graph's {} edge slot(s)",
+                        envelope.edge,
+                        network.edge_endpoints.len()
+                    )));
+                }
                 let payload =
                     <P::Message as WireCodec>::decode(&envelope.payload).map_err(|e| {
                         RuntimeError::checkpoint(format!(
@@ -1749,15 +1896,17 @@ mod tests {
     #[test]
     fn invalid_send_aborts_before_any_delivery_and_network_stays_usable() {
         /// Node 0 sends a valid message and then an invalid one — but only
-        /// in round 1, so the network can prove it survives the abort.
+        /// in round 1, and only when `rogue`, so the network can prove it
+        /// survives the abort.
         struct HalfRogue {
+            rogue: bool,
             received: usize,
         }
         impl NodeProgram for HalfRogue {
             type Message = ();
             fn round(&mut self, ctx: &mut Context<'_, ()>, inbox: &[Envelope<()>]) {
                 self.received += inbox.len();
-                if ctx.round() == 1 && ctx.node() == NodeId::new(0) {
+                if self.rogue && ctx.round() == 1 && ctx.node() == NodeId::new(0) {
                     ctx.send_port(0, ());
                     ctx.send(EdgeId::new(999), ());
                 }
@@ -1766,26 +1915,63 @@ mod tests {
                 }
             }
         }
-        // Parallel dispatch coverage: PR 4's abort-at-the-barrier fix must
-        // hold on the receiver-sharded barrier too, not just serially.
-        for shards in [1usize, 2, 8] {
-            let graph = cycle(8);
-            let config = NetworkConfig::default().sharded(shards);
-            let mut network =
-                Network::new(&graph, config, |_, _| HalfRogue { received: 0 }).unwrap();
-            assert!(network.run_round().is_err(), "at {shards} shards");
-            // The round aborted at the barrier: nothing was delivered or
-            // counted, not even the valid send that preceded the invalid one.
-            assert_eq!(network.pending_messages(), 0, "at {shards} shards");
-            assert_eq!(network.cost().messages, 0, "at {shards} shards");
-            // The network is reusable: later rounds behave exactly as if
-            // round 1 had been silent.
-            network.run_rounds(3).unwrap(); // rounds 2-4
-            assert_eq!(network.cost().messages, 16, "at {shards} shards");
-            assert_eq!(network.pending_messages(), 0, "at {shards} shards");
-            let received: usize = network.programs().iter().map(|p| p.received).sum();
-            // Exactly the round-3 broadcasts arrived (in round 4).
-            assert_eq!(received, 16, "at {shards} shards");
+        // The second plan draws drops and duplicates and cuts the edge
+        // node 0's valid round-1 send travels over: none of it may be
+        // charged for the aborted round.
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::new(11)
+                .with_drop_probability(0.3)
+                .with_duplicate_probability(0.3)
+                .with_link_cut(EdgeId::new(0), 1),
+        ];
+        for plan in plans {
+            // Parallel dispatch coverage: the abort must hold on the
+            // receiver-sharded barrier too, not just serially.
+            for shards in [1usize, 2, 8] {
+                let graph = cycle(8);
+                let config = NetworkConfig::default().sharded(shards);
+                let build = |rogue: bool| {
+                    Network::with_fault_plan(&graph, config, plan.clone(), move |_, _| HalfRogue {
+                        rogue,
+                        received: 0,
+                    })
+                    .unwrap()
+                };
+                let mut network = build(true);
+                assert!(network.run_round().is_err(), "at {shards} shards");
+                // The round aborted: nothing was delivered, counted or
+                // charged, not even the valid send that preceded the
+                // invalid one, nor its fault fate.
+                assert_eq!(network.pending_messages(), 0, "at {shards} shards");
+                assert_eq!(network.cost().messages, 0, "at {shards} shards");
+                assert_eq!(network.metrics().total_messages(), 0, "at {shards} shards");
+                assert_eq!(
+                    network.ledger().fault_totals(),
+                    crate::metrics::FaultTotals::default(),
+                    "at {shards} shards"
+                );
+                // The network is reusable: later rounds behave exactly as
+                // if round 1 had been silent.
+                network.run_rounds(3).unwrap(); // rounds 2-4
+                let mut silent = build(false);
+                silent.run_rounds(4).unwrap();
+                assert_eq!(network.ledger(), silent.ledger(), "at {shards} shards");
+                assert_eq!(network.metrics(), silent.metrics(), "at {shards} shards");
+                assert_eq!(network.pending_messages(), 0, "at {shards} shards");
+                let received = |network: &Network<HalfRogue>| -> usize {
+                    network.programs().iter().map(|p| p.received).sum()
+                };
+                assert_eq!(received(&network), received(&silent), "at {shards} shards");
+                if network.fault_plan().is_none() {
+                    // Exactly the round-3 broadcasts arrived (in round 4).
+                    assert_eq!(network.cost().messages, 16, "at {shards} shards");
+                    assert_eq!(received(&network), 16, "at {shards} shards");
+                } else {
+                    // The cut alone drops the round-3 sends over edge 0.
+                    assert!(network.ledger().fault_totals().dropped_link_cut >= 2);
+                }
+            }
         }
     }
 
@@ -1995,7 +2181,7 @@ mod tests {
     }
 
     #[test]
-    fn mailboxes_and_outboxes_are_reused_across_rounds() {
+    fn mailboxes_and_grid_buckets_are_reused_across_rounds() {
         /// Broadcasts every round for 6 rounds.
         struct Chatter;
         impl NodeProgram for Chatter {
@@ -2011,25 +2197,29 @@ mod tests {
                 }
             }
         }
-        for shards in [1, 3] {
+        let capacities = |network: &Network<Chatter>| -> (Vec<usize>, Vec<usize>) {
+            (
+                network.mailboxes.iter().map(Vec::capacity).collect(),
+                network.grid.iter().map(Vec::capacity).collect(),
+            )
+        };
+        // Chunks of 3 nodes: one column of three rows at 1 shard, a 3 × 3
+        // grid drained on the workers at 3 shards.
+        for (shards, columns) in [(1, 1), (3, 3)] {
             let graph = cycle(9);
-            let config = NetworkConfig::with_seed(5).sharded(shards);
+            let config = NetworkConfig::with_seed(5).sharded(shards).chunk_size(3);
             let mut network = Network::new(&graph, config, |_, _| Chatter).unwrap();
+            assert_eq!((network.shape.rows, network.shape.columns), (3, columns));
             network.run_rounds(3).unwrap();
-            let capacities: Vec<(usize, usize)> = (0..9)
-                .map(|v| {
-                    (
-                        network.mailboxes[v].capacity(),
-                        network.outboxes[v].capacity(),
-                    )
-                })
-                .collect();
+            let before = capacities(&network);
+            // On the cycle every row sends into every column.
+            assert!(before.1.iter().all(|&capacity| capacity > 0), "{shards}");
+            assert!(network.grid.iter().all(Vec::is_empty), "{shards}");
             network.run_rounds(3).unwrap();
-            // Steady state: three more identical rounds grow no buffer.
-            for (v, expected) in capacities.iter().enumerate() {
-                assert_eq!(network.mailboxes[v].capacity(), expected.0, "{shards}");
-                assert_eq!(network.outboxes[v].capacity(), expected.1, "{shards}");
-            }
+            // Steady state: three more identical rounds grow no buffer, and
+            // the barrier leaves every bucket drained.
+            assert_eq!(capacities(&network), before, "{shards}");
+            assert!(network.grid.iter().all(Vec::is_empty), "{shards}");
         }
     }
 
@@ -2633,6 +2823,89 @@ mod tests {
         assert!(
             matches!(&err, RuntimeError::Checkpoint { reason } if reason.contains("port_silence[1]")),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn pending_envelope_beyond_the_edge_slots_is_rejected() {
+        let graph = cycle(6);
+        let plan = || FaultPlan::new(0).with_crash(NodeId::new(3), 0);
+        let mut network =
+            Network::with_fault_plan(&graph, NetworkConfig::default(), plan(), |node, _| {
+                Flood::new(node)
+            })
+            .unwrap();
+        network.run_rounds(2).unwrap();
+        let mut checkpoint = network.checkpoint();
+        // Node 1 holds the token node 2 forwarded; a copy of it claims an
+        // edge far beyond the cycle's six, which the next faulty round's
+        // silence update would index out of bounds.
+        let mut forged = checkpoint.pending[1][0].clone();
+        forged.edge = 1_000_000;
+        checkpoint.pending[1].push(forged);
+        let checkpoint = NetworkCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
+        let restored = Network::restore_with_plans(
+            &graph,
+            plan(),
+            ChurnPlan::none(),
+            InProcessTransport::new(),
+            &checkpoint,
+            |node, _| Flood::new(node),
+        );
+        let Err(err) = restored else {
+            panic!("a checkpoint with a pending message on edge 1000000 restored");
+        };
+        assert!(
+            matches!(&err, RuntimeError::Checkpoint { reason }
+                if reason.contains("pending message 1 of node 1") && reason.contains("1000000")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn grid_shape_keeps_the_chunks_and_bounds_the_buckets() {
+        let n = 1 << 20;
+        let shape = |shards: usize, chunk_size: usize| {
+            let config = NetworkConfig::default()
+                .sharded(shards)
+                .chunk_size(chunk_size);
+            let width = Transport::<u64>::column_width(&InProcessTransport::new(), n, &config);
+            GridShape::new(n, n, shards, chunk_size, width)
+        };
+        // The defaults on a 2^20-node graph at 2 shards: 2048-node execute
+        // chunks and 16 columns per worker.
+        assert_eq!(
+            shape(2, DEFAULT_CHUNK_SIZE),
+            GridShape {
+                chunk: 2048,
+                width: 1 << 15,
+                rows: 512,
+                columns: 32,
+            }
+        );
+        // One-node chunks keep their size but merge columns, so the grid
+        // holds O(owned + (16·shards)²) buckets, not 2^20 · 16·shards.
+        for (shards, columns) in [(8, 1), (256, 16)] {
+            let shape = shape(shards, 1);
+            assert_eq!((shape.chunk, shape.rows), (1, n), "{shards}");
+            assert_eq!(shape.columns, columns, "{shards}");
+            assert!(
+                shape.rows * shape.columns <= n + (16 * shards).pow(2),
+                "{shards} shards: {shape:?}"
+            );
+            assert!(
+                shape.columns * shape.width >= n,
+                "{shards} shards: {shape:?}"
+            );
+        }
+        // A single shard, and any backend that keeps the default, gets one
+        // column: the canonical send order.
+        assert_eq!(shape(1, DEFAULT_CHUNK_SIZE).columns, 1);
+        let mock = crate::transport::MockTransport::new();
+        let width = Transport::<u64>::column_width(&mock, n, &NetworkConfig::default());
+        assert_eq!(
+            GridShape::new(n, n, 2, DEFAULT_CHUNK_SIZE, width).columns,
+            1
         );
     }
 

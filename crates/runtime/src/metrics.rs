@@ -102,8 +102,8 @@ impl ExecutionMetrics {
     }
 
     /// Records that `node` sent `count` messages during the current round
-    /// slot — the bulk form the engine uses at the round barrier, where a
-    /// node's send count is just its outbox length.
+    /// slot — the bulk form the engine uses at the round barrier, with the
+    /// node's send count from the execute phase.
     pub fn record_sends(&mut self, node_index: usize, count: u64) {
         *self
             .messages_per_round
@@ -484,17 +484,11 @@ impl MessageLedger {
         }
     }
 
-    /// Records that fault injection dropped one message in the current round
-    /// slot, attributed to `cause`. Dropped messages appear *only* here —
-    /// they never reach the per-edge or per-round delivery counters.
-    pub(crate) fn record_dropped(&mut self, cause: FaultCause) {
-        self.record_dropped_bulk(cause, 1);
-    }
-
     /// Records `count` fault-injected drops attributed to `cause` in the
-    /// current round slot — the bulk form a distributed transport uses to
-    /// merge a peer rank's fault column (sums, so merging is
-    /// order-independent like [`MessageLedger::record_bulk`]).
+    /// current round slot. Dropped messages appear *only* here — they never
+    /// reach the per-edge or per-round delivery counters. Sums, so the
+    /// engine's per-worker counts and a peer rank's fault column merge in
+    /// any order, like [`MessageLedger::record_bulk`].
     pub(crate) fn record_dropped_bulk(&mut self, cause: FaultCause, count: u64) {
         if count == 0 {
             return;
@@ -510,17 +504,10 @@ impl MessageLedger {
         }
     }
 
-    /// Records that fault injection duplicated one message in the current
-    /// round slot. The duplicate itself is additionally recorded through the
-    /// ordinary [`MessageLedger::record`] path by whoever delivers it, since
-    /// it really crosses the edge.
-    pub(crate) fn record_duplicated(&mut self) {
-        self.record_duplicated_bulk(1);
-    }
-
-    /// Records `count` fault-injected duplications in the current round slot
-    /// (bulk form of [`MessageLedger::record_duplicated`], for merging a
-    /// peer rank's fault column).
+    /// Records `count` fault-injected duplications in the current round
+    /// slot. Each duplicate is additionally recorded through the ordinary
+    /// delivery path by whoever delivers it, since it really crosses the
+    /// edge.
     pub(crate) fn record_duplicated_bulk(&mut self, count: u64) {
         if count == 0 {
             return;
@@ -874,12 +861,11 @@ mod tests {
     fn fault_column_accumulates_and_distinguishes_causes() {
         let mut ledger = MessageLedger::new(2);
         assert_eq!(ledger.fault_totals(), FaultTotals::default());
-        ledger.record_dropped(FaultCause::Random);
+        ledger.record_dropped_bulk(FaultCause::Random, 1);
         ledger.start_round();
-        ledger.record_dropped(FaultCause::LinkCut);
-        ledger.record_dropped(FaultCause::Crash);
-        ledger.record_dropped(FaultCause::Crash);
-        ledger.record_duplicated();
+        ledger.record_dropped_bulk(FaultCause::LinkCut, 1);
+        ledger.record_dropped_bulk(FaultCause::Crash, 2);
+        ledger.record_duplicated_bulk(1);
         ledger.record(0, 4); // delivered traffic is independent of the column
         ledger.record(0, 4);
 

@@ -33,7 +33,7 @@ pub struct Envelope<M> {
 ///
 /// This is the unit of work a [`Transport`](crate::transport::Transport)
 /// backend receives at the round barrier: the engine hands each backend the
-/// per-node outboxes of resolved `Outgoing` messages, and the backend is
+/// send grid of resolved `Outgoing` messages, and the backend is
 /// responsible for moving every payload into the receiver's mailbox (see
 /// `docs/TRANSPORT.md` for the delivery contract).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,8 +81,8 @@ pub struct Context<'a, M> {
     pub(crate) edge_endpoints: &'a [[u32; 2]],
     pub(crate) round: u32,
     pub(crate) rng: &'a mut ChaCha8Rng,
-    /// The node's persistent outbox, reused across rounds (the engine clears
-    /// it before each step; in steady state no send allocates).
+    /// The stepping worker's scratch outbox, empty when the step starts and
+    /// reused across rounds (in steady state no send allocates).
     pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
     /// Per-port consecutive-silent-round counters, maintained by the engine
     /// only under an installed fault plan (empty otherwise) — see
@@ -278,8 +278,8 @@ impl<'a, M: Clone> Context<'a, M> {
 /// the network is configured with more than one shard
 /// ([`NetworkConfig::sharded`](crate::engine::NetworkConfig::sharded)), each
 /// round steps the programs of different shards on different worker
-/// threads, and the dispatch barrier's receiver-sharded workers read every
-/// node's outbox (and inbox snapshot) through shared references. Programs
+/// threads, and the dispatch barrier's receiver-sharded workers move every
+/// message into its receiver's mailbox. Programs
 /// hold only per-node state and messages are plain data, so this is
 /// automatic for ordinary implementations.
 pub trait NodeProgram: Send {

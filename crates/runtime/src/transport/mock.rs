@@ -156,7 +156,7 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
             round,
             traced,
             local_sent,
-            outboxes,
+            grid,
             mailboxes,
             ledger,
             trace,
@@ -209,8 +209,10 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
                 index += 1;
             }
         }
-        for outbox in outboxes.iter_mut() {
-            for outgoing in outbox.drain(..) {
+        // The mock states one grid column: its buckets, in row order, are
+        // the canonical send order.
+        for bucket in grid.iter_mut() {
+            for outgoing in bucket.drain(..) {
                 self.scratch.clear();
                 outgoing.payload.encode(&mut self.scratch);
                 if self.scratch.len() as u64 != outgoing.bytes {
@@ -329,23 +331,22 @@ mod tests {
     }
 
     /// Runs one barrier of a 4-node, 8-edge-slot execution directly on
-    /// `mock`, with `sends` as node 0's outbox.
+    /// `mock`, with `sends` as its one-bucket send grid.
     fn barrier<M: WireCodec + Send + Sync + Clone + std::fmt::Debug>(
         mock: &mut MockTransport,
         sends: Vec<Outgoing<M>>,
         ledger: &mut MessageLedger,
     ) -> RuntimeResult<BarrierOutcome> {
         let local_sent = sends.len() as u64;
-        let mut outboxes = vec![sends, Vec::new(), Vec::new(), Vec::new()];
         let mut mailboxes: Vec<Vec<Envelope<M>>> = (0..4).map(|_| Vec::new()).collect();
         mock.deliver(RoundBarrier {
             round: 0,
             shards: 1,
-            chunk_size: 1,
             traced: false,
             local_sent,
             halted: &[false; 4],
-            outboxes: &mut outboxes,
+            grid: &mut [sends],
+            column_width: 4,
             mailboxes: &mut mailboxes,
             metrics: &mut ExecutionMetrics::new(4),
             ledger,

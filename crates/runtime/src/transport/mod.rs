@@ -1,16 +1,17 @@
 //! Pluggable delivery backends for the round barrier.
 //!
 //! The engine splits every round into an *execute* phase (stepping the node
-//! programs, producing per-node outboxes of resolved
-//! [`Outgoing`] messages) and a *dispatch* phase that
-//! moves each payload into its receiver's mailbox. Everything up to the
-//! barrier — routing, fault injection, sender-side metrics — is
-//! backend-independent; the barrier itself is a [`Transport`]:
+//! programs, which fills a send grid of resolved [`Outgoing`] messages) and
+//! a *dispatch* phase that moves each payload into its receiver's mailbox.
+//! Everything up to the barrier — send resolution, fault injection,
+//! sender-side metrics — is backend-independent; the barrier itself is a
+//! [`Transport`]:
 //!
 //! * [`InProcessTransport`] — the default: the zero-allocation fast path
-//!   (serial or receiver-chunked parallel delivery) that sizes each
-//!   mailbox exactly from a count of its incoming messages. Payloads move
-//!   by value, nothing is serialized.
+//!   that drains the grid's columns (serially, or one column per claim on
+//!   the shard workers) and sizes each mailbox exactly from a count of its
+//!   incoming messages. Payloads move by value, nothing is
+//!   serialized.
 //! * [`TcpTransport`] — multi-process execution over localhost (or any
 //!   reachable peers): each process owns a contiguous node range, and the
 //!   barrier exchanges one length-prefixed binary frame per peer per round.
@@ -37,6 +38,7 @@ pub use mock::{Disturbance, FrameRecord, MockTransport};
 pub use tcp::{RejoinHello, TcpConfig, TcpTransport};
 
 use crate::churn::ChurnEvent;
+use crate::engine::NetworkConfig;
 use crate::error::RuntimeResult;
 use crate::metrics::{ExecutionMetrics, MessageLedger};
 use crate::node::{Envelope, Outgoing};
@@ -47,15 +49,17 @@ use std::ops::Range;
 /// The engine's view of one closed round barrier, handed to
 /// [`Transport::deliver`].
 ///
-/// By the time a backend sees the barrier, the engine has already run the
-/// fault pre-pass (dropped/duplicated messages are resolved; survivors sit
-/// in the outboxes in canonical order) and the sender-side metrics pass
-/// (`metrics` already counts this round's local sends). The backend's job
-/// is delivery and per-edge ledger accounting:
+/// By the time a backend sees the barrier, the engine has already resolved
+/// the fault plan (dropped and duplicated messages are settled; survivors
+/// sit in the send grid in canonical order) and run the sender-side metrics
+/// pass (`metrics` already counts this round's local sends). The backend's
+/// job is delivery and per-edge ledger accounting:
 ///
-/// * move every outbox message into `mailboxes[receiver]`, filling each
+/// * move every grid message into `mailboxes[receiver]`, filling each
 ///   mailbox in ascending sender order (per sender, in send order) — the
-///   canonical order the serial engine produces;
+///   canonical order the serial engine produces. A column's buckets, read
+///   in row order, hold exactly that order for the column's receivers, and
+///   a grid of one column is the canonical send order itself;
 /// * charge every locally sent message to `ledger` (sender-side: a
 ///   message is charged by the rank that sent it, once, with its
 ///   [`Outgoing::bytes`] size). Backends tally the round per edge and
@@ -72,23 +76,26 @@ pub struct RoundBarrier<'a, M> {
     /// Effective worker-shard count of this execution (a parallelism hint;
     /// a backend may ignore it and deliver serially).
     pub shards: usize,
-    /// Target nodes per delivery chunk — like `shards`, a parallelism hint:
-    /// the engine's
-    /// [`NetworkConfig::chunk_size`](crate::engine::NetworkConfig::chunk_size)
-    /// (`⌈owned/shards⌉` gives one chunk per shard). A backend may clamp it
-    /// (the in-process dispatch coarsens the grid so its bucket matrix
-    /// stays small — see `docs/PERF.md` §2) or ignore it.
-    pub chunk_size: usize,
     /// Whether this round must record trace events (canonical order).
     pub traced: bool,
-    /// Number of messages in the local outboxes (post fault pre-pass).
+    /// Number of messages in the send grid (after the fault plan).
     pub local_sent: u64,
     /// Per-node halted flags; only the entries of the engine's owned range
     /// are meaningful (a distributed backend exchanges these counts so
     /// every rank can agree on global termination).
     pub halted: &'a [bool],
-    /// Per-node outboxes in canonical node order; the backend drains them.
-    pub outboxes: &'a mut [Vec<Outgoing<M>>],
+    /// The send grid, row-major, `⌈node count / column_width⌉` columns
+    /// wide: row `r` holds the sends of the engine's `r`-th execute chunk
+    /// (an ascending range of owned nodes), and its bucket `c` those
+    /// addressed to receivers `c·column_width .. (c + 1)·column_width`, in
+    /// (sender, send) order. The backend drains the buckets; one a failed
+    /// barrier leaves full is harmless, because the engine clears each row
+    /// before refilling it.
+    pub grid: &'a mut [Vec<Outgoing<M>>],
+    /// Receivers per grid column: the backend's
+    /// [`Transport::column_width`], widened by the engine only where small
+    /// execute chunks would otherwise multiply the buckets.
+    pub column_width: usize,
     /// The mailbox plane, still holding the messages the programs just
     /// read this round. The backend must clear each mailbox before
     /// delivering into it; the programs read the result next round.
@@ -113,7 +120,7 @@ pub struct RoundBarrier<'a, M> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarrierOutcome {
     /// Messages sent network-wide this round (every rank's post-fault
-    /// outbox total). Single-process backends report
+    /// send total). Single-process backends report
     /// [`RoundBarrier::local_sent`]; this feeds
     /// [`Network::pending_messages`](crate::engine::Network::pending_messages).
     pub delivered: u64,
@@ -178,7 +185,7 @@ pub enum RecoveryPolicy {
 
 /// A delivery backend for the round barrier.
 ///
-/// Implementations move one round's outbox messages into the receiving
+/// Implementations move one round's grid messages into the receiving
 /// mailboxes — in process, over sockets, or through a test double — while
 /// keeping every observable of the execution bit-identical to the
 /// [`InProcessTransport`] reference (see the [module docs](self) and
@@ -209,5 +216,13 @@ pub trait Transport<M>: fmt::Debug + Send {
     /// chunk. Programs outside the range are constructed but never stepped.
     fn owned_range(&self, node_count: usize) -> Range<usize> {
         0..node_count
+    }
+
+    /// Receivers per column of the send grid the engine fills for this
+    /// backend ([`RoundBarrier::grid`]), asked once when the network is
+    /// built. The default, `node_count`, is a single column: the grid's
+    /// buckets, in row order, are then the canonical send order.
+    fn column_width(&self, node_count: usize, _config: &NetworkConfig) -> usize {
+        node_count
     }
 }

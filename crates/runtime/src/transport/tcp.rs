@@ -11,7 +11,7 @@
 //! ```text
 //! [u32 body_len]                          // bytes after this field
 //! [u32 round] [u32 sender_rank]           // lockstep check
-//! [u64 sent_total]                        // sender's post-fault outbox total
+//! [u64 sent_total]                        // sender's post-fault send total
 //! [u32 halted] [u32 msg_count] [u32 stats_len] [u32 churn_count]
 //! <stats section, stats_len bytes>        // identical in every peer frame
 //! <churn_count churn events, 20 bytes each>
@@ -302,7 +302,7 @@ pub struct TcpTransport<M> {
     /// Established streams, indexed by peer rank (`None` at the own slot
     /// and at slots whose peer is dead or awaiting rejoin).
     streams: Vec<Option<TcpStream>>,
-    /// Per-peer message-record bytes accumulated while draining outboxes.
+    /// Per-peer message-record bytes accumulated while draining the grid.
     frame_bufs: Vec<Vec<u8>>,
     /// Per-peer record counts matching `frame_bufs`.
     frame_counts: Vec<u32>,
@@ -1000,22 +1000,24 @@ fn rank_range(rank: usize, world: usize, node_count: usize) -> Range<usize> {
 }
 
 impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> TcpTransport<M> {
-    /// Drains the local outboxes: tallies every send on its edge, stages
-    /// locally addressed messages, and encodes remote ones into per-peer
-    /// record buffers. Returns the per-node count entries for the stats
-    /// section.
+    /// Drains the local send grid — one column, so its buckets in row
+    /// order are the canonical send order: tallies every send on its edge,
+    /// stages locally addressed messages, and encodes remote ones into
+    /// per-peer record buffers. Returns the per-node count entries for the
+    /// stats section: the run lengths of the senders, whose messages lie
+    /// next to each other in that order.
     fn stage_local_sends(
         &mut self,
-        outboxes: &mut [Vec<Outgoing<M>>],
+        grid: &mut [Vec<Outgoing<M>>],
         chunk: usize,
     ) -> RuntimeResult<Vec<(u32, u64)>> {
-        let mut node_counts = Vec::new();
-        for (node, outbox) in outboxes.iter_mut().enumerate() {
-            if outbox.is_empty() {
-                continue;
-            }
-            node_counts.push((node as u32, outbox.len() as u64));
-            for outgoing in outbox.drain(..) {
+        let mut node_counts: Vec<(u32, u64)> = Vec::new();
+        for bucket in grid.iter_mut() {
+            for outgoing in bucket.drain(..) {
+                match node_counts.last_mut() {
+                    Some((node, count)) if *node == outgoing.sender.raw() => *count += 1,
+                    _ => node_counts.push((outgoing.sender.raw(), 1)),
+                }
                 self.edge_tally.add(outgoing.edge.index(), outgoing.bytes);
                 let dest = outgoing.receiver.index() / chunk;
                 if dest == self.rank {
@@ -1187,7 +1189,7 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
             round,
             local_sent,
             halted,
-            outboxes,
+            grid,
             mailboxes,
             metrics,
             ledger,
@@ -1209,7 +1211,7 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         self.edge_tally.discard();
         self.edge_tally.fit(ledger.edge_slots());
 
-        let node_counts = self.stage_local_sends(outboxes, chunk)?;
+        let node_counts = self.stage_local_sends(grid, chunk)?;
         // `prev_faults` holds the totals as of the end of the *previous*
         // barrier — i.e. after merging every peer's deltas — so the delta
         // against it covers exactly this rank's own new drops/duplications
@@ -1642,23 +1644,22 @@ mod tests {
     }
 
     /// Runs one barrier of a 4-node, 8-edge-slot execution directly on
-    /// `transport`, with `sends` as node 0's outbox.
+    /// `transport`, with `sends` as its one-bucket send grid.
     fn barrier(
         transport: &mut TcpTransport<u64>,
         sends: Vec<Outgoing<u64>>,
         ledger: &mut MessageLedger,
     ) -> RuntimeResult<BarrierOutcome> {
         let local_sent = sends.len() as u64;
-        let mut outboxes = vec![sends, Vec::new(), Vec::new(), Vec::new()];
         let mut mailboxes: Vec<Vec<Envelope<u64>>> = (0..4).map(|_| Vec::new()).collect();
         transport.deliver(RoundBarrier {
             round: 0,
             shards: 1,
-            chunk_size: 1,
             traced: false,
             local_sent,
             halted: &[false; 4],
-            outboxes: &mut outboxes,
+            grid: &mut [sends],
+            column_width: 4,
             mailboxes: &mut mailboxes,
             metrics: &mut crate::metrics::ExecutionMetrics::new(4),
             ledger,
