@@ -9,6 +9,7 @@
 use freelunch_graph::NodeId;
 use freelunch_runtime::transport::CodecError;
 use freelunch_runtime::{Context, Envelope, NodeProgram};
+use std::sync::Arc;
 
 /// The per-node program: repeatedly broadcast everything newly learned.
 #[derive(Debug)]
@@ -102,23 +103,26 @@ fn absorb<'a>(
 }
 
 impl NodeProgram for BallGathering {
-    type Message = Vec<u32>;
+    /// One shared bundle per broadcast: every port gets a pointer to the
+    /// same allocation, so a round allocates one bundle per sender, not one
+    /// per message.
+    type Message = Arc<[u32]>;
 
-    fn init(&mut self, ctx: &mut Context<'_, Vec<u32>>) {
+    fn init(&mut self, ctx: &mut Context<'_, Arc<[u32]>>) {
         if self.horizon > 0 {
-            ctx.broadcast(self.fresh.clone());
+            ctx.broadcast(Arc::from(self.fresh.as_slice()));
         }
         self.fresh.clear();
     }
 
-    fn round(&mut self, ctx: &mut Context<'_, Vec<u32>>, inbox: &[Envelope<Vec<u32>>]) {
+    fn round(&mut self, ctx: &mut Context<'_, Arc<[u32]>>, inbox: &[Envelope<Arc<[u32]>>]) {
         absorb(
             &mut self.known,
             &mut self.fresh,
-            inbox.iter().map(|envelope| envelope.payload.as_slice()),
+            inbox.iter().map(|envelope| &*envelope.payload),
         );
         if ctx.round() < self.horizon && !self.fresh.is_empty() {
-            ctx.broadcast(self.fresh.clone());
+            ctx.broadcast(Arc::from(self.fresh.as_slice()));
         }
         self.fresh.clear();
         if ctx.round() >= self.horizon {
@@ -126,12 +130,13 @@ impl NodeProgram for BallGathering {
         }
     }
 
-    /// Each gathered ID costs 4 bytes — exactly the `Vec<u32>` wire
-    /// encoding (4 little-endian bytes per element) and the 4-byte token
-    /// convention of the emulated broadcast paths. The default sizing would
-    /// charge `size_of::<Vec<u32>>()` (the header), independent of the
-    /// bundle length.
-    fn payload_bytes(message: &Vec<u32>) -> u64 {
+    /// Each gathered ID costs 4 bytes — exactly the bundle's wire encoding
+    /// (4 little-endian bytes per element) and the 4-byte token convention
+    /// of the emulated broadcast paths. Every receiver is charged the whole
+    /// bundle, although the copies of one broadcast share one allocation.
+    /// The default sizing would charge `size_of::<Arc<[u32]>>()` (the
+    /// pointer), independent of the bundle length.
+    fn payload_bytes(message: &Arc<[u32]>) -> u64 {
         4 * message.len() as u64
     }
 
@@ -204,7 +209,7 @@ mod tests {
     use freelunch_runtime::{Network, NetworkConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn run_gathering(graph: &MultiGraph, t: u32) -> Vec<Vec<u32>> {
         let run = |shards: usize| {
@@ -275,6 +280,86 @@ mod tests {
         let views = run_gathering(&graph, 0);
         for (v, view) in views.iter().enumerate() {
             assert_eq!(view, &vec![v as u32]);
+        }
+    }
+
+    /// `BallGathering` that also keeps every envelope it receives, with the
+    /// round it arrived in.
+    struct Keeper {
+        inner: BallGathering,
+        kept: Vec<(u32, Envelope<Arc<[u32]>>)>,
+    }
+
+    impl NodeProgram for Keeper {
+        type Message = Arc<[u32]>;
+
+        fn init(&mut self, ctx: &mut Context<'_, Arc<[u32]>>) {
+            self.inner.init(ctx);
+        }
+
+        fn round(&mut self, ctx: &mut Context<'_, Arc<[u32]>>, inbox: &[Envelope<Arc<[u32]>>]) {
+            let round = ctx.round();
+            self.kept
+                .extend(inbox.iter().map(|envelope| (round, envelope.clone())));
+            self.inner.round(ctx, inbox);
+        }
+
+        fn payload_bytes(message: &Arc<[u32]>) -> u64 {
+            BallGathering::payload_bytes(message)
+        }
+    }
+
+    #[test]
+    fn a_broadcast_ships_one_shared_bundle() {
+        // A star (centre 0, leaves 1-4) beside a path 5-6-7-8.
+        let mut graph = MultiGraph::new(9);
+        for (u, v) in [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (6, 7), (7, 8)] {
+            graph.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
+        }
+        for shards in [1, 2] {
+            let config = NetworkConfig::with_seed(0).sharded(shards);
+            let mut network = Network::new(&graph, config, |node, _| Keeper {
+                inner: BallGathering::new(node, 2),
+                kept: Vec::new(),
+            })
+            .unwrap();
+            network.run_rounds(2).unwrap();
+
+            // Round 2's inboxes hold what round 1 broadcast: one bundle per
+            // sender, one pointer to it in each of its receivers' mailboxes.
+            let mut copies: BTreeMap<NodeId, Vec<&Arc<[u32]>>> = BTreeMap::new();
+            for keeper in network.programs() {
+                for (_, envelope) in keeper.kept.iter().filter(|(round, _)| *round == 2) {
+                    copies
+                        .entry(envelope.from)
+                        .or_default()
+                        .push(&envelope.payload);
+                }
+            }
+            for v in graph.nodes() {
+                let bundles = &copies[&v];
+                assert_eq!(bundles.len(), graph.degree(v), "node {v}");
+                assert!(
+                    bundles.iter().all(|bundle| Arc::ptr_eq(bundle, bundles[0])),
+                    "node {v}'s receivers hold different allocations"
+                );
+            }
+            assert_eq!(copies[&NodeId::new(0)][0][..], [1, 2, 3, 4]);
+            assert_eq!(copies[&NodeId::new(6)][0][..], [5, 7]);
+
+            // The ledger still charges every copy in full: 4 bytes per ID
+            // per envelope, on the edge it travelled.
+            let mut bytes = vec![0u64; graph.edge_count()];
+            for keeper in network.programs() {
+                for (_, envelope) in &keeper.kept {
+                    bytes[envelope.edge.index()] += 4 * envelope.payload.len() as u64;
+                }
+            }
+            assert_eq!(network.ledger().bytes_per_edge(), bytes);
+            // Init sends a one-ID bundle over each of the 14 ports; round 1
+            // sends 30 IDs: the centre's 4 over its 4 ports, each leaf's 1,
+            // and 1 + 4 + 4 + 1 along the path.
+            assert_eq!(network.ledger().bytes_per_round(), [4 * 14, 4 * 30, 0]);
         }
     }
 

@@ -84,8 +84,9 @@ impl WireCodec for MisMessage {
 #[derive(Debug)]
 pub struct LubyMis {
     state: MisState,
-    /// Ports whose neighbor is still undecided.
-    active_ports: Vec<usize>,
+    /// Ports whose neighbor is still undecided, as stored in the checkpoint
+    /// (`u32`: 4 bytes a port rather than 8).
+    active_ports: Vec<u32>,
     my_priority: u64,
     /// Highest priority heard from an active neighbor in the current phase.
     best_neighbor_priority: Option<u64>,
@@ -96,7 +97,7 @@ impl LubyMis {
     pub fn new(degree: usize) -> Self {
         LubyMis {
             state: MisState::Undecided,
-            active_ports: (0..degree).collect(),
+            active_ports: (0..u32::try_from(degree).expect("port numbers fit in u32")).collect(),
             my_priority: 0,
             best_neighbor_priority: None,
         }
@@ -136,7 +137,7 @@ impl NodeProgram for LubyMis {
         if neighbor_joined {
             self.state = MisState::OutOfSet;
             for &port in &self.active_ports {
-                ctx.send_port(port, MisMessage::Retired);
+                ctx.send_port(port as usize, MisMessage::Retired);
             }
             ctx.halt();
             return;
@@ -154,7 +155,7 @@ impl NodeProgram for LubyMis {
                 return;
             }
             for &port in &self.active_ports {
-                ctx.send_port(port, MisMessage::Priority(self.my_priority));
+                ctx.send_port(port as usize, MisMessage::Priority(self.my_priority));
             }
         } else if ctx.round() > 1 {
             let wins = match self.best_neighbor_priority {
@@ -164,7 +165,7 @@ impl NodeProgram for LubyMis {
             if wins {
                 self.state = MisState::InSet;
                 for &port in &self.active_ports {
-                    ctx.send_port(port, MisMessage::Joined);
+                    ctx.send_port(port as usize, MisMessage::Joined);
                 }
                 ctx.halt();
             }
@@ -193,7 +194,7 @@ impl NodeProgram for LubyMis {
         }
         buf.extend_from_slice(&(self.active_ports.len() as u32).to_le_bytes());
         for &port in &self.active_ports {
-            buf.extend_from_slice(&(port as u32).to_le_bytes());
+            buf.extend_from_slice(&port.to_le_bytes());
         }
     }
 
@@ -243,7 +244,7 @@ impl NodeProgram for LubyMis {
         self.best_neighbor_priority = best_neighbor_priority;
         self.active_ports = bytes[FIXED..]
             .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
         Ok(())
     }

@@ -114,14 +114,19 @@ where
     F: Fn(NodeId, &InitialKnowledge) -> P,
     O: PartialEq,
 {
-    // Reference execution on the full graph.
-    let mut direct = Network::new(graph, config, |node, knowledge| factory(node, knowledge))?;
-    direct.run_rounds(t)?;
-    let direct_cost = direct.cost();
-    let direct_outputs: Vec<O> = direct.programs().iter().map(&output).collect();
+    // Reference execution on the full graph. The network (its programs,
+    // mailboxes, send grid and CSR) is freed as soon as its cost and
+    // outputs are read, before the broadcast and the re-runs allocate.
+    let (direct_cost, direct_outputs) = {
+        let mut direct = Network::new(graph, config, |node, knowledge| factory(node, knowledge))?;
+        direct.run_rounds(t)?;
+        let outputs: Vec<O> = direct.programs().iter().map(&output).collect();
+        (direct.cost(), outputs)
+    };
 
     // The message-reduced execution: t-local broadcast on the spanner.
-    let broadcast = t_local_broadcast(graph, spanner_edges.iter().copied(), t, spanner_stretch)?;
+    let broadcast_cost =
+        t_local_broadcast(graph, spanner_edges.iter().copied(), t, spanner_stretch)?.cost;
 
     // Ball-sufficiency verification on an evenly spread sample of nodes.
     let n = graph.node_count();
@@ -159,8 +164,8 @@ where
         t,
         direct_cost,
         spanner_cost,
-        broadcast_cost: broadcast.cost,
-        simulated_cost: spanner_cost + broadcast.cost,
+        broadcast_cost,
+        simulated_cost: spanner_cost + broadcast_cost,
         nodes_checked: to_check,
         mismatches,
     })

@@ -257,6 +257,11 @@ impl<'a, M: Clone> Context<'a, M> {
     /// Queues a copy of `payload` on every incident edge ("local broadcast").
     /// Works under every knowledge model. Returns the number of messages
     /// queued.
+    ///
+    /// The payload is cloned once per port, so a heavy payload should be
+    /// cheap to clone: `BallGathering` broadcasts an `Arc<[u32]>`, whose
+    /// clones share one allocation. The ledger still charges every copy in
+    /// full, [`NodeProgram::payload_bytes`] bytes per port.
     pub fn broadcast(&mut self, payload: M) -> usize {
         let degree = self.ports.len();
         self.outbox.reserve(degree);
@@ -284,6 +289,11 @@ impl<'a, M: Clone> Context<'a, M> {
 /// automatic for ordinary implementations.
 pub trait NodeProgram: Send {
     /// The message type exchanged by this algorithm.
+    ///
+    /// [`Context::broadcast`] clones the payload once per port, so a heavy
+    /// payload should be cheap to clone (an `Arc<[T]>` rather than a
+    /// `Vec<T>`: one allocation per broadcast instead of one per message).
+    /// The ledger charges every copy in full either way.
     type Message: Clone + fmt::Debug + Send + Sync;
 
     /// Called once before the first round; messages sent here are delivered

@@ -15,11 +15,12 @@
 //! little-endian encoding and zero-pad up to `size_of` ([`pad_to_size`]);
 //! decoding validates the padding, the exact length, and every tag byte, so
 //! a truncated, oversized or corrupted frame is always rejected rather than
-//! misread. Variable-size payloads (e.g. `Vec<u32>` token bundles) must
+//! misread. Variable-size payloads (e.g. `Arc<[u32]>` token bundles) must
 //! override `payload_bytes` to the true serialized size — see
 //! `docs/METRICS.md` §3 for the sizing rules.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,14 +173,15 @@ macro_rules! int_codec {
 int_codec!(u8, u16, u32, u64);
 
 /// Token bundles: each element as 4 little-endian bytes, no length prefix
-/// (the frame's payload length delimits the bundle). Programs shipping
-/// `Vec<u32>` must override `payload_bytes` to `4 * len` to satisfy the
-/// sizing law — the default `size_of::<Vec<u32>>()` charges the `Vec`
-/// header, not the tokens.
-impl WireCodec for Vec<u32> {
+/// (the frame's payload length delimits the bundle). A bundle is shared:
+/// a broadcast clones only the pointer per port, and each decoded record
+/// gets an allocation of its own. Programs shipping `Arc<[u32]>` must
+/// override `payload_bytes` to `4 * len` to satisfy the sizing law — the
+/// default `size_of::<Arc<[u32]>>()` charges the pointer, not the tokens.
+impl WireCodec for Arc<[u32]> {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.reserve(4 * self.len());
-        for value in self {
+        for value in self.iter() {
             buf.extend_from_slice(&value.to_le_bytes());
         }
     }
@@ -242,13 +244,18 @@ mod tests {
 
     #[test]
     fn token_bundles_roundtrip_and_reject_ragged_lengths() {
-        let bundle = vec![1u32, u32::MAX, 42];
+        let bundle: Arc<[u32]> = Arc::from([1u32, u32::MAX, 42]);
         let encoded = bundle.encode_to_vec();
-        assert_eq!(encoded.len(), 12);
-        assert_eq!(Vec::<u32>::decode(&encoded), Ok(bundle));
-        assert_eq!(Vec::<u32>::decode(&[]), Ok(Vec::new()));
+        // Each ID as 4 little-endian bytes, no length prefix.
+        assert_eq!(
+            encoded,
+            [1, 0, 0, 0, 255, 255, 255, 255, 42, 0, 0, 0],
+            "the bundle wire bytes moved"
+        );
+        assert_eq!(Arc::<[u32]>::decode(&encoded), Ok(bundle));
+        assert_eq!(Arc::<[u32]>::decode(&[]), Ok(Arc::from([])));
         assert!(matches!(
-            Vec::<u32>::decode(&encoded[..7]),
+            Arc::<[u32]>::decode(&encoded[..7]),
             Err(CodecError::InvalidLength {
                 got: 7,
                 multiple_of: 4

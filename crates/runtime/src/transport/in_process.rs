@@ -82,16 +82,16 @@ impl<M> InProcessTransport<M> {
 /// its mailbox and reserves exactly that count (a mailbox whose capacity
 /// already suffices is left as it is, so steady-state rounds allocate
 /// nothing), then drains the buckets in row order — ascending sender, per
-/// sender in send order — adding every message to the tally. Records trace
-/// events when given a trace, which only a one-column grid does, because
-/// they must appear in canonical send order.
+/// sender in send order — handing every message's edge slot and bytes to
+/// `tally`. Records trace events when given a trace, which only a
+/// one-column grid does, because they must appear in canonical send order.
 fn deliver_column<M>(
     round: u32,
     column: &mut [Vec<Outgoing<M>>],
     lo: usize,
     mailboxes: &mut [Vec<Envelope<M>>],
     incoming: &mut [usize],
-    tally: &EdgeTally,
+    mut tally: impl FnMut(usize, u64),
     mut trace: Option<&mut Trace>,
 ) {
     for outgoing in column.iter().flatten() {
@@ -103,7 +103,7 @@ fn deliver_column<M>(
     }
     for bucket in column {
         for outgoing in bucket.drain(..) {
-            tally.add_shared(outgoing.edge.index(), outgoing.bytes);
+            tally(outgoing.edge.index(), outgoing.bytes);
             if let Some(trace) = trace.as_deref_mut() {
                 trace.record(TraceEvent {
                     round,
@@ -154,9 +154,11 @@ impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
     /// bucket keeping its capacity. Each column fills its mailboxes in
     /// exactly the serial order, and the column doubles as the cache block:
     /// until it is dry a worker touches only `column_width` consecutive
-    /// mailboxes. The workers add every message to the shared tally (sums —
-    /// order-independent), so the charged ledger is bit-identical to the
-    /// serial one whichever worker claimed what.
+    /// mailboxes. The workers add every message to the shared tally (atomic
+    /// sums — order-independent), so the charged ledger is bit-identical to
+    /// the serial one whichever worker claimed what. A one-column grid
+    /// (one shard, tracing, or `n` within the column width) is delivered on
+    /// the calling thread, which adds through `&mut` and pays no atomics.
     fn deliver(&mut self, b: RoundBarrier<'_, M>) -> RuntimeResult<BarrierOutcome> {
         if b.local_sent == 0 {
             // Nothing to deliver or charge: the read plane is only cleared,
@@ -181,7 +183,7 @@ impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
                 0,
                 b.mailboxes,
                 &mut self.incoming,
-                &self.tally,
+                |slot, bytes| self.tally.add(slot, bytes),
                 trace,
             );
         } else {
@@ -201,7 +203,8 @@ impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
                 vec![(); b.shards],
                 claims,
                 |_: &mut (), (col, ((mailboxes, incoming), column))| {
-                    deliver_column(round, column, col * width, mailboxes, incoming, tally, None);
+                    let add = |slot, bytes| tally.add_shared(slot, bytes);
+                    deliver_column(round, column, col * width, mailboxes, incoming, add, None);
                 },
             );
             swap_transposed(b.grid, &mut self.columns, cols);

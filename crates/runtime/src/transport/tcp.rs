@@ -1492,6 +1492,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::node::{Context, NodeProgram};
     use freelunch_graph::generators::{sparse_connected_erdos_renyi, GeneratorConfig};
+    use std::sync::Arc;
 
     /// Binds one loopback listener per rank before any rank connects, so
     /// the rendezvous has no port race.
@@ -1514,29 +1515,29 @@ mod tests {
     }
 
     impl Chorus {
-        fn sing(&self, ctx: &mut Context<'_, Vec<u32>>) {
+        fn sing(&self, ctx: &mut Context<'_, Arc<[u32]>>) {
             let len = 1 + (ctx.node().raw() + ctx.round()) % 3;
             ctx.broadcast((0..len).map(|i| self.state ^ i).collect());
         }
     }
 
     impl NodeProgram for Chorus {
-        type Message = Vec<u32>;
+        type Message = Arc<[u32]>;
 
-        fn init(&mut self, ctx: &mut Context<'_, Vec<u32>>) {
+        fn init(&mut self, ctx: &mut Context<'_, Arc<[u32]>>) {
             self.sing(ctx);
         }
 
-        fn round(&mut self, ctx: &mut Context<'_, Vec<u32>>, inbox: &[Envelope<Vec<u32>>]) {
+        fn round(&mut self, ctx: &mut Context<'_, Arc<[u32]>>, inbox: &[Envelope<Arc<[u32]>>]) {
             for envelope in inbox {
-                for &token in &envelope.payload {
+                for &token in envelope.payload.iter() {
                     self.state = self.state.rotate_left(5) ^ token;
                 }
             }
             self.sing(ctx);
         }
 
-        fn payload_bytes(message: &Vec<u32>) -> u64 {
+        fn payload_bytes(message: &Arc<[u32]>) -> u64 {
             4 * message.len() as u64
         }
     }

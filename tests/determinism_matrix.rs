@@ -484,7 +484,7 @@ fn randomized_coloring_is_backend_invariant() {
 
 #[test]
 fn ball_gathering_is_backend_invariant() {
-    // Variable-length `Vec<u32>` payloads: the sizing law (4 bytes per
+    // Variable-length `Arc<[u32]>` payloads: the sizing law (4 bytes per
     // token) is what keeps the byte columns identical across backends.
     for (name, graph) in workloads() {
         assert_backend_invariant(

@@ -30,6 +30,7 @@ use freelunch::runtime::{
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -587,7 +588,7 @@ fn tcp_rejoin_with_a_stale_checkpoint_is_rejected_on_both_sides() {
             let checkpoint = NetworkCheckpoint::from_bytes(&stale_bytes).unwrap();
             assert_eq!(checkpoint.round, 1);
             let config = TcpConfig::new(1, relaunch_peers);
-            TcpTransport::<Vec<u32>>::resume_from(
+            TcpTransport::<Arc<[u32]>>::resume_from(
                 &config,
                 checkpoint.round,
                 checkpoint.fault_totals(),
@@ -715,7 +716,7 @@ fn tcp_silent_peer_is_declared_dead_within_the_liveness_deadline() {
             let config = TcpConfig::new(1, silent_peers);
             // A live, connected, handshaken peer that never sends a frame:
             // the pathological "slow" peer the liveness deadline exists for.
-            let transport: TcpTransport<Vec<u32>> =
+            let transport: TcpTransport<Arc<[u32]>> =
                 TcpTransport::with_listener(silent_listener, &config).unwrap();
             done_rx.recv().unwrap();
             drop(transport);

@@ -23,6 +23,7 @@ use freelunch::graph::{EdgeId, NodeId};
 use freelunch::runtime::transport::{CodecError, WireCodec};
 use freelunch::runtime::{CheckpointHeader, ChurnEvent, NodeProgram, RejoinHello};
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// The structured value grid the payload-carrying variants are swept over.
 const VALUE_GRID: [u64; 12] = [
@@ -142,7 +143,7 @@ fn token_bundles_obey_the_codec_laws() {
     // Bundles of every length in 0..=17 plus a large one, filled from the
     // value grid.
     for len in (0..=17).chain([512]) {
-        let bundle: Vec<u32> = (0..len)
+        let bundle: Arc<[u32]> = (0..len)
             .map(|i| VALUE_GRID[i % VALUE_GRID.len()] as u32 ^ i as u32)
             .collect();
         check_message::<BallGathering>(bundle);
