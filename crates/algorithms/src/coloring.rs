@@ -169,7 +169,14 @@ impl NodeProgram for RandomizedColoring {
         }
         let u32_at =
             |i: usize| u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
-        let palette_size = u32_at(0);
+        // Only `new` sets the palette, and restore builds every program
+        // through the factory first: a blob with another size is not this
+        // node's state (and a size of 0 would make `draw_proposal` panic).
+        if u32_at(0) != self.palette_size {
+            return Err(CodecError::InvalidValue {
+                field: "palette size",
+            });
+        }
         let conflict = match bytes[4] {
             0 => false,
             1 => true,
@@ -200,14 +207,22 @@ impl NodeProgram for RandomizedColoring {
                 got: bytes.len(),
             });
         }
-        self.palette_size = palette_size;
-        self.conflict = conflict;
-        self.proposal = proposal;
-        self.color = color;
-        self.forbidden = bytes[FIXED..]
+        let forbidden: HashSet<u32> = bytes[FIXED..]
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
+        // A palette with no free color would spin `draw_proposal` forever;
+        // a real node never gets there (its neighbours hold at most
+        // `palette_size - 1` colors).
+        if (0..self.palette_size).all(|c| forbidden.contains(&c)) {
+            return Err(CodecError::InvalidValue {
+                field: "forbidden colors",
+            });
+        }
+        self.conflict = conflict;
+        self.proposal = proposal;
+        self.color = color;
+        self.forbidden = forbidden;
         Ok(())
     }
 }
@@ -283,6 +298,47 @@ mod tests {
         let (colors, rounds) = run_coloring(&graph, 5);
         assert!(is_proper_coloring(&graph, &colors));
         assert!(rounds < 80, "took {rounds} rounds");
+    }
+
+    #[test]
+    fn hostile_checkpoints_return_instead_of_panicking() {
+        /// A `save_state` blob: palette size, no conflict, no proposal, no
+        /// color, then the forbidden colors.
+        fn blob(palette_size: u32, forbidden: &[u32]) -> Vec<u8> {
+            let mut bytes = palette_size.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 11]);
+            bytes.extend_from_slice(&(forbidden.len() as u32).to_le_bytes());
+            for color in forbidden {
+                bytes.extend_from_slice(&color.to_le_bytes());
+            }
+            bytes
+        }
+        // A node of degree 2 holds a palette of 3.
+        let mut program = RandomizedColoring::new(2);
+        let mut saved = Vec::new();
+        program.save_state(&mut saved);
+        assert_eq!(saved, blob(3, &[]));
+        // A palette of 0 would panic in `gen_range(0..0)`; one of 1 with
+        // color 0 forbidden would spin forever in `draw_proposal`.
+        for hostile in [blob(0, &[]), blob(1, &[0]), blob(4, &[])] {
+            assert_eq!(
+                program.load_state(&hostile),
+                Err(CodecError::InvalidValue {
+                    field: "palette size"
+                })
+            );
+        }
+        assert_eq!(
+            program.load_state(&blob(3, &[2, 0, 1])),
+            Err(CodecError::InvalidValue {
+                field: "forbidden colors"
+            })
+        );
+        // Two of three colors forbidden, and a neighbour's color beyond the
+        // palette, still leave color 1 to draw.
+        program.load_state(&blob(3, &[0, 2, 7])).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        assert_eq!(program.draw_proposal(&mut rng), 1);
     }
 
     #[test]

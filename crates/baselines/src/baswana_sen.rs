@@ -61,7 +61,7 @@ impl BaswanaSen {
     }
 
     /// The stretch guarantee `2k − 1`.
-    pub fn stretch(&self) -> u32 {
+    pub(crate) fn stretch(&self) -> u32 {
         2 * self.k - 1
     }
 

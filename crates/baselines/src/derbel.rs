@@ -73,7 +73,7 @@ impl ClusterSpanner {
     /// Stretch guarantee for adjacent pairs: `4ρ + 1` (cluster trees have
     /// depth `ρ`, so crossing cluster `a` → cluster `b` costs at most
     /// `2ρ + 1 + 2ρ` hops).
-    pub fn stretch(&self) -> u32 {
+    pub(crate) fn stretch(&self) -> u32 {
         4 * self.radius + 1
     }
 

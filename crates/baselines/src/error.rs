@@ -52,7 +52,7 @@ impl From<freelunch_core::CoreError> for BaselineError {
 
 impl BaselineError {
     /// Convenience constructor for [`BaselineError::InvalidParameter`].
-    pub fn invalid_parameter(reason: impl Into<String>) -> Self {
+    pub(crate) fn invalid_parameter(reason: impl Into<String>) -> Self {
         BaselineError::InvalidParameter {
             reason: reason.into(),
         }

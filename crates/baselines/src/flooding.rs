@@ -14,22 +14,10 @@
 //! `docs/METRICS.md` for the contract.
 
 use crate::error::{BaselineError, BaselineResult};
-use freelunch_core::planner::GraphStats;
 use freelunch_core::reduction::tlocal::{flood_on_subgraph, BroadcastOutcome};
 use freelunch_graph::MultiGraph;
 use freelunch_runtime::MessageLedger;
 use serde::{Deserialize, Serialize};
-
-/// Cost-model hook for the adaptive planner: the predicted message cost of
-/// flooding directly on `G` for `t` rounds, `2·t·m`. Exact for `t ≤ 2` on
-/// connected graphs (round 1 floods every token over every edge; after it
-/// every node has learned something, so round 2 is fully active) and an
-/// upper bound beyond — the same law the planner's
-/// [`SchemePlanner::predict_direct`](freelunch_core::planner::SchemePlanner::predict_direct)
-/// uses, exposed here so baseline-side tables can price themselves.
-pub fn predicted_direct_messages(stats: &GraphStats, t: u32) -> f64 {
-    2.0 * f64::from(t) * stats.edges as f64
-}
 
 /// Summary of a direct-flooding run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,19 +90,25 @@ mod tests {
 
     #[test]
     fn cost_model_hook_is_exact_at_small_t() {
-        use freelunch_core::planner::StatsConfig;
+        use freelunch_core::planner::{GraphStats, SchemePlanner, StatsConfig};
         let graph = connected_erdos_renyi(&GeneratorConfig::new(80, 6), 0.15).unwrap();
         let stats = GraphStats::sample(&graph.freeze(), &StatsConfig::default()).unwrap();
+        let predicted = |t: u32| {
+            SchemePlanner::new(t)
+                .unwrap()
+                .predict_direct(&stats)
+                .messages
+        };
         for t in [1u32, 2] {
             let outcome = direct_flooding(&graph, t).unwrap();
             assert_eq!(
-                predicted_direct_messages(&stats, t),
+                predicted(t),
                 outcome.broadcast.cost.messages as f64,
                 "t = {t}"
             );
         }
         // Beyond t = 2 the law is an upper bound (the flood quiesces).
         let outcome = direct_flooding(&graph, 6).unwrap();
-        assert!(predicted_direct_messages(&stats, 6) >= outcome.broadcast.cost.messages as f64);
+        assert!(predicted(6) >= outcome.broadcast.cost.messages as f64);
     }
 }

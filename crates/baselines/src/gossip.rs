@@ -69,7 +69,12 @@ impl GossipBroadcast {
     /// # Errors
     ///
     /// Returns an error if the graph is empty.
-    pub fn run(&self, graph: &MultiGraph, t: u32, seed: u64) -> BaselineResult<GossipOutcome> {
+    pub(crate) fn run(
+        &self,
+        graph: &MultiGraph,
+        t: u32,
+        seed: u64,
+    ) -> BaselineResult<GossipOutcome> {
         let n = graph.node_count();
         if n == 0 {
             return Err(BaselineError::invalid_parameter(

@@ -45,7 +45,7 @@ impl GreedySpanner {
     /// # Errors
     ///
     /// Returns an error if the graph is empty.
-    pub fn run(&self, graph: &MultiGraph) -> BaselineResult<Vec<EdgeId>> {
+    pub(crate) fn run(&self, graph: &MultiGraph) -> BaselineResult<Vec<EdgeId>> {
         if graph.node_count() == 0 {
             return Err(BaselineError::invalid_parameter(
                 "the input graph has no nodes",

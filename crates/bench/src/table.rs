@@ -6,8 +6,8 @@ use std::fmt::Write as _;
 
 /// A table of experiment results with a fixed column set.
 ///
-/// JSON export goes through [`ExperimentTable::to_value`] explicitly; the
-/// offline `serde` stand-in cannot derive working serialisation.
+/// JSON export goes through [`tables_to_json`] explicitly; the offline
+/// `serde` stand-in cannot derive working serialisation.
 #[derive(Debug, Clone)]
 pub struct ExperimentTable {
     /// Table title (experiment identifier, e.g. "E1 / Theorem 2 size").
@@ -66,7 +66,7 @@ impl ExperimentTable {
     }
 
     /// The table as a JSON value tree.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::Object(vec![
             ("title".to_string(), Value::from(self.title.clone())),
             (
@@ -88,12 +88,6 @@ impl ExperimentTable {
                 ),
             ),
         ])
-    }
-
-    /// Serialises the table to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value())
-            .expect("experiment tables are always serialisable")
     }
 }
 
@@ -176,7 +170,7 @@ mod tests {
         assert!(md.contains("| 128 | 400 |"));
         assert!(md.contains("812.500"));
         assert_eq!(md.lines().count(), 5);
-        assert!(table.to_json().contains("\"title\""));
+        assert!(tables_to_json(&[&table]).contains("\"title\""));
     }
 
     #[test]

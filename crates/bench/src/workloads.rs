@@ -28,16 +28,6 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// All workloads, in presentation order.
-    pub fn all() -> [Workload; 4] {
-        [
-            Workload::DenseRandom,
-            Workload::SparseRandom,
-            Workload::Complete,
-            Workload::Communities,
-        ]
-    }
-
     /// Short label used in experiment tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -216,7 +206,12 @@ mod tests {
 
     #[test]
     fn all_workloads_build_connected_graphs() {
-        for workload in Workload::all() {
+        for workload in [
+            Workload::DenseRandom,
+            Workload::SparseRandom,
+            Workload::Complete,
+            Workload::Communities,
+        ] {
             let graph = workload.build(192, 1).unwrap();
             assert_eq!(graph.node_count(), 192, "{}", workload.label());
             assert!(

@@ -10,17 +10,15 @@
 //! **round overhead** (scheme rounds ÷ direct rounds; the paper's claim is
 //! that the former grows while the latter stays `O(1)` per simulated round).
 //!
-//! Constructors exist for every reduction path in [`crate::reduction`]:
-//! [`Ledger::from_simulation`] (end-to-end simulation of a LOCAL algorithm),
-//! [`Ledger::from_scheme`] (single-stage `t`-local broadcast scheme),
-//! [`Ledger::from_two_stage`] (two-stage scheme), and
+//! Every reduction path the experiments measure has its ledger:
+//! [`SimulationReport::ledger`] (end-to-end simulation of a LOCAL
+//! algorithm), [`TwoStageReport::ledger`] (two-stage scheme), and
 //! [`Ledger::for_tlocal`] (a bare `t`-local broadcast measured against a
 //! direct execution). The fine-grained per-edge/per-round side of the same
 //! contract lives in
 //! [`freelunch_runtime::metrics::MessageLedger`]; `docs/METRICS.md`
 //! specifies both.
 
-use crate::reduction::scheme::SchemeReport;
 use crate::reduction::simulate::SimulationReport;
 use crate::reduction::two_stage::TwoStageReport;
 use freelunch_runtime::CostReport;
@@ -183,7 +181,7 @@ impl Ledger {
     /// ([`simulate_with_spanner`](crate::reduction::simulate::simulate_with_spanner)):
     /// spanner construction + broadcast on the scheme side, and the measured
     /// direct execution as the reference.
-    pub fn from_simulation(report: &SimulationReport) -> Self {
+    pub(crate) fn from_simulation(report: &SimulationReport) -> Self {
         let mut ledger = Ledger::new();
         ledger.charge(
             CostPhase::SpannerConstruction,
@@ -203,30 +201,10 @@ impl Ledger {
         ledger
     }
 
-    /// Ledger of a single-stage scheme run
-    /// ([`SamplerScheme`](crate::reduction::scheme::SamplerScheme)), measured
-    /// against the supplied direct-execution cost (e.g. a measured direct
-    /// flooding, or the naive `2·t·|E|` bound).
-    pub fn from_scheme(report: &SchemeReport, direct: CostReport) -> Self {
-        let mut ledger = Ledger::new();
-        ledger.charge(
-            CostPhase::SpannerConstruction,
-            format!("sampler spanner (gamma={})", report.gamma),
-            report.spanner_cost,
-        );
-        ledger.charge(
-            CostPhase::Broadcast,
-            format!("{}-local broadcast on the spanner", report.t),
-            report.broadcast_cost,
-        );
-        ledger.charge(CostPhase::DirectExecution, "direct execution on G", direct);
-        ledger
-    }
-
     /// Ledger of a two-stage scheme run
     /// ([`TwoStageScheme`](crate::reduction::two_stage::TwoStageScheme)),
     /// measured against the supplied direct-execution cost.
-    pub fn from_two_stage(report: &TwoStageReport, direct: CostReport) -> Self {
+    pub(crate) fn from_two_stage(report: &TwoStageReport, direct: CostReport) -> Self {
         let mut ledger = Ledger::new();
         ledger.charge(
             CostPhase::SpannerConstruction,

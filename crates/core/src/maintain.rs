@@ -345,24 +345,6 @@ impl IncrementalSpanner {
         self.spanner.len()
     }
 
-    /// The cluster center `node` currently belongs to (itself for centers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn center_of(&self, node: NodeId) -> NodeId {
-        self.center_of[node.index()]
-    }
-
-    /// Whether `node` is currently a cluster center.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn is_center(&self, node: NodeId) -> bool {
-        self.center_of[node.index()] == node
-    }
-
     /// Rounds and messages of the initial construction.
     pub fn build_cost(&self) -> CostReport {
         self.build_cost
@@ -548,9 +530,9 @@ mod tests {
     fn star_build_keeps_exactly_the_tree_edges() {
         let spanner = IncrementalSpanner::with_centers(&star4(), &[n(0)]).unwrap();
         assert_eq!(spanner.spanner_edges(), vec![e(0), e(1), e(2)]);
-        assert!(spanner.is_center(n(0)));
+        assert!(spanner.center_of[n(0).index()] == n(0));
         for leaf in [n(1), n(2), n(3)] {
-            assert_eq!(spanner.center_of(leaf), n(0));
+            assert_eq!(spanner.center_of[leaf.index()], n(0));
         }
         // 3 center announcements + 2m = 6 cluster announcements + 3 marks.
         assert_eq!(spanner.build_cost(), CostReport::new(3, 12));
@@ -563,8 +545,8 @@ mod tests {
         // clusters, so the boundary edges e1 and e2 must be covered.
         let spanner = IncrementalSpanner::with_centers(&path4(), &[n(0)]).unwrap();
         assert_eq!(spanner.spanner_edges(), vec![e(0), e(1), e(2)]);
-        assert!(spanner.is_center(n(2)));
-        assert!(spanner.is_center(n(3)));
+        assert!(spanner.center_of[n(2).index()] == n(2));
+        assert!(spanner.center_of[n(3).index()] == n(3));
         spanner.check_invariants().unwrap();
     }
 
@@ -606,7 +588,7 @@ mod tests {
         assert_eq!(report.cost, CostReport::new(2, 0));
         assert!(report.removed_from_spanner);
         assert_eq!(report.rehomed, Some(n(1)));
-        assert!(spanner.is_center(n(1)));
+        assert!(spanner.center_of[n(1).index()] == n(1));
         spanner.check_invariants().unwrap();
     }
 
@@ -634,7 +616,7 @@ mod tests {
         // announcement.
         assert_eq!(report.cost, CostReport::new(2, 3));
         assert_eq!(report.rehomed, Some(n(2)));
-        assert_eq!(spanner.center_of(n(1)), n(2));
+        assert_eq!(spanner.center_of[n(1).index()], n(2));
         spanner.check_invariants().unwrap();
     }
 

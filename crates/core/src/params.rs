@@ -192,7 +192,7 @@ impl SamplerParams {
 
     /// `ε = 1/h`: the message exponent excess contributed by the trial
     /// budget.
-    pub fn epsilon(&self) -> f64 {
+    pub(crate) fn epsilon(&self) -> f64 {
         1.0 / f64::from(self.h)
     }
 
@@ -202,7 +202,7 @@ impl SamplerParams {
     }
 
     /// Number of sampling trials per level (`2h`).
-    pub fn trials_per_level(&self) -> u32 {
+    pub(crate) fn trials_per_level(&self) -> u32 {
         2 * self.h
     }
 
@@ -224,7 +224,7 @@ impl SamplerParams {
     }
 
     /// Center-marking probability at level `j`: `p_j = n^{-2^j δ}`.
-    pub fn center_probability(&self, level: u32, n: usize) -> f64 {
+    pub(crate) fn center_probability(&self, level: u32, n: usize) -> f64 {
         (n as f64)
             .powf(-(f64::from(1u32 << level)) * self.delta())
             .clamp(0.0, 1.0)
@@ -233,7 +233,7 @@ impl SamplerParams {
     /// Neighbor-finding target at level `j` (the `min{…, |N_j(v)|}` is taken
     /// by the algorithm itself): paper formula `c·n^{2^j δ}·log₂ n`, or the
     /// practical substitute.
-    pub fn neighbor_target(&self, level: u32, n: usize) -> usize {
+    pub(crate) fn neighbor_target(&self, level: u32, n: usize) -> usize {
         let base = (n as f64).powf(f64::from(1u32 << level) * self.delta());
         let value = match self.constants {
             ConstantPolicy::Paper { c } => c * base * log2_ceil(n),
@@ -244,7 +244,7 @@ impl SamplerParams {
 
     /// Per-trial query budget at level `j`: paper formula
     /// `c²·n^{2^j δ+ε}·(log₂ n)³`, or the practical substitute.
-    pub fn trial_query_budget(&self, level: u32, n: usize) -> usize {
+    pub(crate) fn trial_query_budget(&self, level: u32, n: usize) -> usize {
         let base = (n as f64).powf(f64::from(1u32 << level) * self.delta() + self.epsilon());
         let value = match self.constants {
             ConstantPolicy::Paper { c } => c * c * base * log2_ceil(n).powi(3),

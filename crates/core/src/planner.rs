@@ -51,7 +51,7 @@ pub struct StatsConfig {
     pub sample_nodes: usize,
     /// Neighbor pairs tested per sampled node.
     pub pairs_per_node: usize,
-    /// Degree caps for which [`GraphStats::capped_incidence`] records exact
+    /// Degree caps for which [`GraphStats`] records exact capped-incidence
     /// sums (`Σ_v min(deg(v), cap)`). Defaults to the caps the default
     /// [`CostModel`] queries.
     pub degree_caps: Vec<u32>,
@@ -190,7 +190,7 @@ impl GraphStats {
     /// The capped incidence sum `Σ_v min(deg(v), cap)`: exact if `cap` was
     /// configured at sampling time, otherwise the upper bound
     /// `min(2m, n·cap)`.
-    pub fn capped_incidence(&self, cap: u32) -> f64 {
+    pub(crate) fn capped_incidence(&self, cap: u32) -> f64 {
         for &(c, sum) in &self.capped_incidence {
             if c == cap {
                 return sum as f64;
@@ -203,7 +203,7 @@ impl GraphStats {
     /// for real-valued (n-dependent) caps like [`CostModel::query_cap`].
     /// Exact on regular graphs and whenever the cap binds every degree (or
     /// none); an upper bound in between (heavy-tailed degree sequences).
-    pub fn capped_incidence_bound(&self, cap: f64) -> f64 {
+    pub(crate) fn capped_incidence_bound(&self, cap: f64) -> f64 {
         (2.0 * self.edges as f64).min(self.nodes as f64 * cap)
     }
 
@@ -275,7 +275,7 @@ impl CostModel {
     /// The n-dependent per-node degree cap of the γ-stage construction
     /// model: `query_cap_scale · n^{(2^{γ−1}+1)·δ}` with
     /// `δ = 1/(2^{γ+1}−1)` (`n^{3/7}` at γ = 2, `n^{2/3}` at γ = 1).
-    pub fn query_cap(&self, nodes: usize, gamma: u32) -> f64 {
+    pub(crate) fn query_cap(&self, nodes: usize, gamma: u32) -> f64 {
         let delta = 1.0 / ((1u64 << (gamma + 1)) as f64 - 1.0);
         let exponent = ((1u64 << gamma.saturating_sub(1)) as f64 + 1.0) * delta;
         self.query_cap_scale * (nodes as f64).powf(exponent)
@@ -351,7 +351,7 @@ pub struct ToleranceBand {
 
 impl ToleranceBand {
     /// Whether `ratio` lies within the band (inclusive).
-    pub fn contains(&self, ratio: f64) -> bool {
+    pub(crate) fn contains(&self, ratio: f64) -> bool {
         ratio >= self.lower && ratio <= self.upper
     }
 }
@@ -393,7 +393,7 @@ impl Default for Tolerances {
 
 impl Tolerances {
     /// The band for `path`.
-    pub fn band(&self, path: PathChoice) -> ToleranceBand {
+    pub(crate) fn band(&self, path: PathChoice) -> ToleranceBand {
         match path {
             PathChoice::Direct => self.direct,
             PathChoice::SpannerSim => self.spanner_sim,
@@ -424,7 +424,7 @@ pub struct SchemePlanner {
 /// The `Sampler` constants the cost model was calibrated against
 /// (`Practical { target_factor: 4.0, query_factor: 4.0 }` — the same
 /// constants every recorded `BENCH_*.json` experiment runs with).
-pub fn calibrated_constants() -> ConstantPolicy {
+pub(crate) fn calibrated_constants() -> ConstantPolicy {
     ConstantPolicy::Practical {
         target_factor: 4.0,
         query_factor: 4.0,
@@ -452,21 +452,12 @@ impl SchemePlanner {
         })
     }
 
-    /// Plans for `graph`: freezes it, samples stats, predicts, decides.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the graph is empty or a parameter is invalid.
-    pub fn plan(&self, graph: &MultiGraph) -> CoreResult<Plan> {
-        self.plan_csr(&graph.freeze())
-    }
-
     /// Plans from an already-frozen CSR view.
     ///
     /// # Errors
     ///
     /// Returns an error if the graph is empty or a parameter is invalid.
-    pub fn plan_csr(&self, csr: &CsrGraph) -> CoreResult<Plan> {
+    pub(crate) fn plan_csr(&self, csr: &CsrGraph) -> CoreResult<Plan> {
         let stats = GraphStats::sample(csr, &self.stats_config)?;
         self.plan_from_stats(stats)
     }
@@ -491,7 +482,7 @@ impl SchemePlanner {
     /// # Errors
     ///
     /// Returns an error if the scheme parameters are invalid.
-    pub fn plan_from_stats_with_profile(
+    pub(crate) fn plan_from_stats_with_profile(
         &self,
         stats: GraphStats,
         second_stage: Option<SpannerProfile>,
@@ -538,7 +529,7 @@ impl SchemePlanner {
     /// # Errors
     ///
     /// Returns an error if the scheme parameters are invalid.
-    pub fn plan_from_stats(&self, stats: GraphStats) -> CoreResult<Plan> {
+    pub(crate) fn plan_from_stats(&self, stats: GraphStats) -> CoreResult<Plan> {
         self.plan_from_stats_with_profile(stats, None)
     }
 
@@ -575,7 +566,7 @@ impl SchemePlanner {
     /// [`CostModel::query_cap`]) plus flooding (`2·|S|·active`), with `|S|`
     /// from the paper's size law and the active-round count from the
     /// quiescence law.
-    pub fn predict_spanner_sim(&self, stats: &GraphStats) -> PathPrediction {
+    pub(crate) fn predict_spanner_sim(&self, stats: &GraphStats) -> PathPrediction {
         let model = &self.model;
         let h = f64::from((1u32 << (self.gamma + 1)) - 1);
         let stretch = 2.0 * 3f64.powi(self.gamma as i32) - 1.0;
@@ -600,7 +591,7 @@ impl SchemePlanner {
     /// spanner, and the final flood on the second-stage spanner (sized by
     /// the second stage's own [`SpannerProfile`] hook when available, the
     /// calibrated `n^{3/2}` fallback otherwise).
-    pub fn predict_two_stage(
+    pub(crate) fn predict_two_stage(
         &self,
         stats: &GraphStats,
         second_stage: Option<SpannerProfile>,
@@ -848,7 +839,7 @@ impl PlanReport {
     }
 
     /// The chosen path's measurement.
-    pub fn chosen(&self) -> Option<&PathMeasurement> {
+    pub(crate) fn chosen(&self) -> Option<&PathMeasurement> {
         self.measured(self.plan.decision)
     }
 
@@ -950,12 +941,7 @@ pub struct AuditReport {
     pub regret: Option<f64>,
 }
 
-impl AuditReport {
-    /// Whether every executed path's prediction stayed inside its band.
-    pub fn all_within_band(&self) -> bool {
-        self.entries.iter().all(|e| e.within_band)
-    }
-}
+impl AuditReport {}
 
 #[cfg(test)]
 mod tests {
@@ -1020,10 +1006,10 @@ mod tests {
     fn planner_prefers_direct_on_sparse_and_spanner_on_dense() {
         let planner = SchemePlanner::new(2).unwrap();
         let sparse = connected_erdos_renyi(&GeneratorConfig::new(256, 7), 0.03).unwrap();
-        let plan = planner.plan(&sparse).unwrap();
+        let plan = planner.plan_csr(&sparse.freeze()).unwrap();
         assert_eq!(plan.decision, PathChoice::Direct);
         let dense = complete_graph(&GeneratorConfig::new(256, 0)).unwrap();
-        let plan = planner.plan(&dense).unwrap();
+        let plan = planner.plan_csr(&dense.freeze()).unwrap();
         assert_eq!(plan.decision, PathChoice::SpannerSim);
         assert!(plan.decision_margin > 1.0);
     }
@@ -1032,7 +1018,7 @@ mod tests {
     fn direct_prediction_is_exact_for_small_t() {
         let graph = connected_erdos_renyi(&GeneratorConfig::new(80, 3), 0.1).unwrap();
         let planner = SchemePlanner::new(2).unwrap();
-        let plan = planner.plan(&graph).unwrap();
+        let plan = planner.plan_csr(&graph.freeze()).unwrap();
         let outcome = flood_on_subgraph(&graph, graph.edge_ids(), 2).unwrap();
         let predicted = plan.predicted(PathChoice::Direct).unwrap().messages;
         assert_eq!(predicted, outcome.cost.messages as f64);
@@ -1042,8 +1028,8 @@ mod tests {
     fn plans_are_bit_identical_across_replans() {
         let graph = connected_erdos_renyi(&GeneratorConfig::new(100, 11), 0.08).unwrap();
         let planner = SchemePlanner::new(2).unwrap();
-        let a = planner.plan(&graph).unwrap();
-        let b = planner.plan(&graph).unwrap();
+        let a = planner.plan_csr(&graph.freeze()).unwrap();
+        let b = planner.plan_csr(&graph.freeze()).unwrap();
         assert_eq!(a, b);
         // The rendered report (every float bit included) is also identical.
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
@@ -1053,7 +1039,7 @@ mod tests {
     fn execute_runs_only_the_chosen_path_and_execute_all_every_path() {
         let graph = connected_erdos_renyi(&GeneratorConfig::new(60, 2), 0.1).unwrap();
         let planner = SchemePlanner::new(2).unwrap();
-        let plan = planner.plan(&graph).unwrap();
+        let plan = planner.plan_csr(&graph.freeze()).unwrap();
         let second = Sampler::new(plan_second_stage_params());
         let chosen_only = plan.execute(&graph, 42, &second).unwrap();
         assert_eq!(chosen_only.measured.len(), 1);
@@ -1074,13 +1060,13 @@ mod tests {
     fn audit_flags_out_of_band_predictions() {
         let graph = connected_erdos_renyi(&GeneratorConfig::new(60, 2), 0.1).unwrap();
         let planner = SchemePlanner::new(2).unwrap();
-        let plan = planner.plan(&graph).unwrap();
+        let plan = planner.plan_csr(&graph.freeze()).unwrap();
         let report = plan
             .execute(&graph, 7, &Sampler::new(plan_second_stage_params()))
             .unwrap();
         // Direct on a connected graph at t = 2 is exact: ratio 1.0.
         let audit = report.audit();
-        assert!(audit.all_within_band());
+        assert!(audit.entries.iter().all(|e| e.within_band));
         // An impossibly tight band must fail.
         let zero_band = ToleranceBand {
             lower: 0.0,
@@ -1091,7 +1077,11 @@ mod tests {
             spanner_sim: zero_band,
             two_stage: zero_band,
         };
-        assert!(!report.audit_with(&strict).all_within_band());
+        assert!(!report
+            .audit_with(&strict)
+            .entries
+            .iter()
+            .all(|e| e.within_band));
     }
 
     #[test]

@@ -26,25 +26,12 @@ pub struct SamplerScheme {
 }
 
 impl SamplerScheme {
-    /// Creates the scheme for a given `γ` with paper-faithful constants.
+    /// Creates the scheme with explicit constants.
     ///
     /// # Errors
     ///
     /// Returns an error if `γ` is zero or larger than 10 (the induced
     /// `h = 2^{γ+1} − 1` would be astronomically large beyond that).
-    pub fn new(gamma: u32) -> CoreResult<Self> {
-        SamplerScheme {
-            gamma,
-            constants: ConstantPolicy::default(),
-        }
-        .validated()
-    }
-
-    /// Creates the scheme with explicit constants.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SamplerScheme::new`].
     pub fn with_constants(gamma: u32, constants: ConstantPolicy) -> CoreResult<Self> {
         SamplerScheme { gamma, constants }.validated()
     }
@@ -76,13 +63,13 @@ impl SamplerScheme {
 
     /// The paper's message-complexity formula for the `t`-local broadcast:
     /// `t · n^{1+2/(2^{γ+1}-1)}` (log factors omitted).
-    pub fn message_formula(&self, n: usize, t: u32) -> f64 {
+    pub(crate) fn message_formula(&self, n: usize, t: u32) -> f64 {
         let exponent = 1.0 + 2.0 / ((1u64 << (self.gamma + 1)) as f64 - 1.0);
         f64::from(t) * (n as f64).powf(exponent)
     }
 
     /// The paper's round-complexity formula: `3^γ·t + 6^γ`.
-    pub fn round_formula(&self, t: u32) -> u64 {
+    pub(crate) fn round_formula(&self, t: u32) -> u64 {
         3u64.pow(self.gamma) * u64::from(t) + 6u64.pow(self.gamma)
     }
 
@@ -153,19 +140,6 @@ impl SchemeReport {
             message_formula: scheme.message_formula(graph.node_count(), t),
         }
     }
-
-    /// Messages the naive approach (direct flooding on `G` for `t` rounds)
-    /// would send in the worst case: `2·t·|E|`.
-    pub fn naive_message_bound(&self) -> u64 {
-        2 * u64::from(self.t) * self.edges as u64
-    }
-
-    /// Phase-attributed ledger of this run, measured against `direct` (a
-    /// measured direct execution, or the naive `2·t·|E|` bound as a
-    /// [`CostReport`]). See [`crate::ledger`] for the derived ratios.
-    pub fn ledger(&self, direct: CostReport) -> crate::ledger::Ledger {
-        crate::ledger::Ledger::from_scheme(self, direct)
-    }
 }
 
 #[cfg(test)]
@@ -186,9 +160,9 @@ mod tests {
 
     #[test]
     fn parameter_validation() {
-        assert!(SamplerScheme::new(0).is_err());
-        assert!(SamplerScheme::new(11).is_err());
-        let scheme = SamplerScheme::new(2).unwrap();
+        assert!(SamplerScheme::with_constants(0, ConstantPolicy::default()).is_err());
+        assert!(SamplerScheme::with_constants(11, ConstantPolicy::default()).is_err());
+        let scheme = SamplerScheme::with_constants(2, ConstantPolicy::default()).unwrap();
         let params = scheme.sampler_params().unwrap();
         assert_eq!(params.k, 2);
         assert_eq!(params.h, 7);
@@ -197,7 +171,7 @@ mod tests {
 
     #[test]
     fn formulas_match_the_paper() {
-        let scheme = SamplerScheme::new(1).unwrap();
+        let scheme = SamplerScheme::with_constants(1, ConstantPolicy::default()).unwrap();
         assert_eq!(scheme.round_formula(4), 3 * 4 + 6);
         // message formula exponent = 1 + 2/3.
         let expected = 4.0 * (100f64).powf(1.0 + 2.0 / 3.0);
@@ -220,10 +194,6 @@ mod tests {
         assert_eq!(
             report.broadcast_cost.rounds,
             u64::from(scheme.stretch() * t)
-        );
-        assert_eq!(
-            report.naive_message_bound(),
-            2 * u64::from(t) * graph.edge_count() as u64
         );
     }
 

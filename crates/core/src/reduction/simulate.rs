@@ -56,14 +56,6 @@ impl SimulationReport {
         self.direct_cost.messages as f64 / self.simulated_cost.messages as f64
     }
 
-    /// Round overhead factor of the simulation over the direct execution.
-    pub fn round_overhead(&self) -> f64 {
-        if self.direct_cost.rounds == 0 {
-            return 0.0;
-        }
-        self.simulated_cost.rounds as f64 / self.direct_cost.rounds as f64
-    }
-
     /// Returns `true` if every checked node produced the same output in the
     /// ball-local re-execution.
     pub fn outputs_match(&self) -> bool {
@@ -229,7 +221,7 @@ mod tests {
         // send more.
         assert!(report.simulated_cost.messages <= report.direct_cost.messages);
         assert!(report.message_savings() >= 1.0);
-        assert!(report.round_overhead() >= 1.0);
+        assert!(report.simulated_cost.rounds >= report.direct_cost.rounds);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub struct BroadcastOutcome {
 
 impl BroadcastOutcome {
     /// Returns `true` if node `holder` ended up with the token of `source`.
-    pub fn holds_token(&self, holder: NodeId, source: NodeId) -> bool {
+    pub(crate) fn holds_token(&self, holder: NodeId, source: NodeId) -> bool {
         self.known
             .as_ref()
             .is_some_and(|known| known.get(holder.index(), source.index()))

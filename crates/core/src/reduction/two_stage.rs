@@ -50,14 +50,6 @@ impl<S: SpannerAlgorithm> TwoStageScheme<S> {
         })
     }
 
-    /// The `γ` value the paper recommends for locality parameter `t`:
-    /// `γ = ⌈log₃ log₃ t⌉` (at least 1).
-    pub fn recommended_gamma(t: u32) -> u32 {
-        let t = f64::from(t.max(3));
-        let gamma = t.log(3.0).log(3.0).ceil();
-        (gamma.max(1.0)) as u32
-    }
-
     /// Runs the scheme for locality parameter `t`.
     ///
     /// # Errors
@@ -194,13 +186,6 @@ mod tests {
             KeepAll,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn recommended_gamma_grows_very_slowly() {
-        assert_eq!(TwoStageScheme::<KeepAll>::recommended_gamma(3), 1);
-        assert_eq!(TwoStageScheme::<KeepAll>::recommended_gamma(27), 1);
-        assert!(TwoStageScheme::<KeepAll>::recommended_gamma(100_000) <= 3);
     }
 
     #[test]

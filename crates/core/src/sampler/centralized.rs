@@ -71,13 +71,8 @@ impl Sampler {
         }
     }
 
-    /// Creates a sampler with an explicit distributed cost model.
-    pub fn with_cost_model(params: SamplerParams, cost_model: DistributedCostModel) -> Self {
-        Sampler { params, cost_model }
-    }
-
     /// The parameters this sampler runs with.
-    pub fn params(&self) -> &SamplerParams {
+    pub(crate) fn params(&self) -> &SamplerParams {
         &self.params
     }
 
@@ -593,26 +588,6 @@ pub struct LevelReport {
     pub cost: CostReport,
 }
 
-/// Aggregate statistics of a `Sampler` run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SamplerStats {
-    /// Number of spanner edges produced.
-    pub spanner_edges: usize,
-    /// The paper's `Õ`-style size bound `n^{1+δ}` evaluated for this run's
-    /// `n` (log factors omitted).
-    pub size_bound: f64,
-    /// Total query messages over all levels.
-    pub query_messages: u64,
-    /// Total fallback repairs over all levels.
-    pub fallbacks: usize,
-    /// Total distributed cost.
-    pub cost: CostReport,
-    /// The paper's round bound `O(3^k h)` (constant = 1).
-    pub round_bound: u64,
-    /// The paper's message bound `n^{1+δ+ε}` (log factors omitted).
-    pub message_bound: f64,
-}
-
 /// The result of a `Sampler` run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SamplerOutcome {
@@ -642,19 +617,6 @@ impl SamplerOutcome {
     /// Number of spanner edges.
     pub fn spanner_size(&self) -> usize {
         self.spanner.len()
-    }
-
-    /// Aggregate statistics of the run.
-    pub fn stats(&self) -> SamplerStats {
-        SamplerStats {
-            spanner_edges: self.spanner.len(),
-            size_bound: self.params.size_bound(self.input_nodes),
-            query_messages: self.levels.iter().map(|l| l.query_messages).sum(),
-            fallbacks: self.levels.iter().map(|l| l.fallbacks).sum(),
-            cost: self.cost,
-            round_bound: self.params.round_bound(),
-            message_bound: self.params.message_bound(self.input_nodes),
-        }
     }
 }
 
@@ -811,9 +773,8 @@ mod tests {
         assert_eq!(summed, outcome.cost);
         assert!(outcome.cost.messages > 0);
         assert!(outcome.cost.rounds > 0);
-        let stats = outcome.stats();
-        assert_eq!(stats.spanner_edges, outcome.spanner_size());
-        assert!(stats.query_messages <= outcome.cost.messages);
+        let query_messages: u64 = outcome.levels.iter().map(|l| l.query_messages).sum();
+        assert!(query_messages <= outcome.cost.messages);
     }
 
     #[test]

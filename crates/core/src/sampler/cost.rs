@@ -65,13 +65,17 @@ impl Default for DistributedCostModel {
 impl DistributedCostModel {
     /// Rounds of one broadcast–convergecast session at a level whose deepest
     /// cluster tree has root eccentricity `max_root_depth`.
-    pub fn rounds_per_session(&self, max_root_depth: u32) -> u64 {
+    pub(crate) fn rounds_per_session(&self, max_root_depth: u32) -> u64 {
         2 * u64::from(max_root_depth) + self.rounds_per_session_overhead
     }
 
     /// Cost of one level given its tree statistics and the activity recorded
     /// by the centralized replay.
-    pub fn level_cost(&self, trees: &LevelTreeStats, activity: &LevelActivity) -> CostReport {
+    pub(crate) fn level_cost(
+        &self,
+        trees: &LevelTreeStats,
+        activity: &LevelActivity,
+    ) -> CostReport {
         let sessions = u64::from(activity.trial_slots) + u64::from(activity.has_clustering_step);
         let tree_messages =
             sessions * self.messages_per_tree_edge_per_session * trees.tree_edges_total;

@@ -43,7 +43,7 @@ pub struct Figure1Trace {
 
 impl Figure1Trace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Figure1Trace::default()
     }
 

@@ -32,7 +32,7 @@ pub struct ClusterInfo {
 
 impl ClusterInfo {
     /// A singleton cluster containing only `node` (the level-0 state).
-    pub fn singleton(node: NodeId) -> Self {
+    pub(crate) fn singleton(node: NodeId) -> Self {
         ClusterInfo {
             members: vec![node],
             tree_edges: Vec::new(),
@@ -42,7 +42,7 @@ impl ClusterInfo {
     }
 
     /// Number of original nodes in the cluster.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.members.len()
     }
 
@@ -53,7 +53,7 @@ impl ClusterInfo {
     /// The resulting tree is the union of the constituent trees plus the
     /// connecting edges; the root stays the center's root. The root
     /// eccentricity is recomputed exactly by a BFS over the tree edges.
-    pub fn merge(
+    pub(crate) fn merge(
         center: &ClusterInfo,
         joined: &[(&ClusterInfo, EdgeId)],
         graph: &MultiGraph,
@@ -82,7 +82,7 @@ impl ClusterInfo {
 /// Computes the eccentricity of `root` in the forest spanned by `tree_edges`
 /// restricted to `members`. Unreachable members are ignored (they cannot
 /// occur for well-formed clusters; the function stays total regardless).
-pub fn root_eccentricity(
+pub(crate) fn root_eccentricity(
     members: &[NodeId],
     tree_edges: &[EdgeId],
     root: NodeId,
@@ -132,7 +132,7 @@ pub struct LevelTreeStats {
 }
 
 /// Computes the tree statistics of a level from its cluster list.
-pub fn level_tree_stats(clusters: &[ClusterInfo]) -> LevelTreeStats {
+pub(crate) fn level_tree_stats(clusters: &[ClusterInfo]) -> LevelTreeStats {
     LevelTreeStats {
         tree_edges_total: clusters.iter().map(|c| c.tree_edges.len() as u64).sum(),
         max_root_depth: clusters.iter().map(|c| c.depth).max().unwrap_or(0),

@@ -19,7 +19,7 @@ pub mod distributed;
 pub mod figure1;
 pub mod hierarchy;
 
-pub use centralized::{LevelReport, Sampler, SamplerOutcome, SamplerStats};
+pub use centralized::{LevelReport, Sampler, SamplerOutcome};
 pub use cost::{DistributedCostModel, LevelActivity};
 pub use figure1::{Figure1Trace, LevelTrace};
 pub use hierarchy::{ClusterInfo, LevelTreeStats};
@@ -50,12 +50,12 @@ pub enum NodeClass {
 
 impl NodeClass {
     /// Returns `true` for [`NodeClass::Light`].
-    pub fn is_light(self) -> bool {
+    pub(crate) fn is_light(self) -> bool {
         matches!(self, NodeClass::Light)
     }
 
     /// Returns `true` for [`NodeClass::Heavy`].
-    pub fn is_heavy(self) -> bool {
+    pub(crate) fn is_heavy(self) -> bool {
         matches!(self, NodeClass::Heavy)
     }
 }

@@ -39,7 +39,7 @@ impl SpannerResult {
 
     /// The flooding radius needed to cover `B_{G,t}(v)` on this spanner:
     /// `α·t + β`.
-    pub fn flooding_radius(&self, t: u32) -> u32 {
+    pub(crate) fn flooding_radius(&self, t: u32) -> u32 {
         self.multiplicative_stretch
             .saturating_mul(t)
             .saturating_add(self.additive_stretch)

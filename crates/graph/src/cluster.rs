@@ -53,28 +53,8 @@ impl ClusterAssignment {
         }
     }
 
-    /// Builds an assignment from an explicit per-node table.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if some cluster index `>= cluster_count` is used.
-    pub fn from_table(table: Vec<Option<ClusterId>>, cluster_count: usize) -> GraphResult<Self> {
-        for cluster in table.iter().flatten() {
-            if cluster.index() >= cluster_count {
-                return Err(GraphError::ClusterOutOfRange {
-                    cluster: cluster.index(),
-                    cluster_count,
-                });
-            }
-        }
-        Ok(ClusterAssignment {
-            cluster_of: table,
-            cluster_count,
-        })
-    }
-
     /// Number of nodes covered by this assignment (clustered or not).
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.cluster_of.len()
     }
 
@@ -86,11 +66,6 @@ impl ClusterAssignment {
     /// Cluster of `node`, or `None` if the node is unclustered.
     pub fn cluster_of(&self, node: NodeId) -> Option<ClusterId> {
         self.cluster_of.get(node.index()).copied().flatten()
-    }
-
-    /// Returns `true` if `node` belongs to some cluster.
-    pub fn is_clustered(&self, node: NodeId) -> bool {
-        self.cluster_of(node).is_some()
     }
 
     /// Assigns `node` to `cluster`, growing the declared cluster count if
@@ -111,11 +86,6 @@ impl ClusterAssignment {
         Ok(())
     }
 
-    /// Declares `count` clusters even if some are (still) empty.
-    pub fn ensure_cluster_count(&mut self, count: usize) {
-        self.cluster_count = self.cluster_count.max(count);
-    }
-
     /// Members of `cluster`, sorted by node index.
     pub fn members(&self, cluster: ClusterId) -> Vec<NodeId> {
         self.cluster_of
@@ -126,28 +96,8 @@ impl ClusterAssignment {
             .collect()
     }
 
-    /// All clustered nodes, sorted by node index.
-    pub fn clustered_nodes(&self) -> Vec<NodeId> {
-        self.cluster_of
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_some())
-            .map(|(i, _)| NodeId::from_usize(i))
-            .collect()
-    }
-
-    /// All unclustered nodes, sorted by node index.
-    pub fn unclustered_nodes(&self) -> Vec<NodeId> {
-        self.cluster_of
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| NodeId::from_usize(i))
-            .collect()
-    }
-
     /// Sizes of all clusters, indexed by cluster id.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
+    pub(crate) fn cluster_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.cluster_count];
         for cluster in self.cluster_of.iter().flatten() {
             sizes[cluster.index()] += 1;
@@ -161,7 +111,7 @@ impl ClusterAssignment {
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidParameter`] naming the first empty cluster.
-    pub fn require_nonempty_clusters(&self) -> GraphResult<()> {
+    pub(crate) fn require_nonempty_clusters(&self) -> GraphResult<()> {
         for (i, size) in self.cluster_sizes().iter().enumerate() {
             if *size == 0 {
                 return Err(GraphError::invalid_parameter(format!(
@@ -280,11 +230,7 @@ mod tests {
         assert_eq!(a.cluster_count(), 2);
         assert_eq!(a.cluster_of(n(0)), Some(c(0)));
         assert_eq!(a.cluster_of(n(6)), None);
-        assert!(a.is_clustered(n(4)));
-        assert!(!a.is_clustered(n(6)));
         assert_eq!(a.members(c(1)), vec![n(3), n(4), n(5)]);
-        assert_eq!(a.clustered_nodes().len(), 6);
-        assert_eq!(a.unclustered_nodes(), vec![n(6)]);
         assert_eq!(a.cluster_sizes(), vec![3, 3]);
         assert!(a.require_nonempty_clusters().is_ok());
     }
@@ -293,13 +239,6 @@ mod tests {
     fn assignment_rejects_out_of_range_node() {
         let mut a = ClusterAssignment::unclustered(2);
         assert!(a.assign(n(5), c(0)).is_err());
-    }
-
-    #[test]
-    fn from_table_validates_cluster_indices() {
-        let table = vec![Some(c(0)), Some(c(2))];
-        assert!(ClusterAssignment::from_table(table.clone(), 2).is_err());
-        assert!(ClusterAssignment::from_table(table, 3).is_ok());
     }
 
     #[test]

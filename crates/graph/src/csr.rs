@@ -18,8 +18,8 @@
 //! single-source ball queries of the simulation verifier, the `t`-local
 //! broadcast coverage check and the gossip baseline all freeze once and
 //! query the packed view; the execution engine keeps the frozen view as its
-//! only graph copy and validates every dispatched message through the dense
-//! edge lookup.
+//! only graph copy and validates every send through its dense
+//! [`endpoint_table`](CsrGraph::endpoint_table).
 //!
 //! The [`Topology`] trait abstracts over the two representations so that
 //! the traversal routines ([`bfs`](crate::traversal::bfs),
@@ -240,19 +240,13 @@ impl CsrGraph {
         self.edges.len()
     }
 
-    /// Returns `true` if the graph has no edges.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
     /// Iterator over all node identifiers `0..node_count`.
     pub fn nodes(&self) -> NodeIdRange {
         (0..self.node_count as u32).map(NodeId::new as fn(u32) -> NodeId)
     }
 
     /// Iterator over all edges in insertion order.
-    pub fn edges(&self) -> impl Iterator<Item = &Edge> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = &Edge> + '_ {
         self.edges.iter()
     }
 
@@ -353,16 +347,6 @@ impl CsrGraph {
             [self.neighbor_offsets[node.index()]..self.neighbor_offsets[node.index() + 1]]
     }
 
-    /// Number of distinct neighbors of `node` (`|N_j(v)|` in the paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[inline]
-    pub fn distinct_neighbor_count(&self, node: NodeId) -> usize {
-        self.neighbor_offsets[node.index() + 1] - self.neighbor_offsets[node.index()]
-    }
-
     /// Returns `true` if at least one edge connects `u` and `v` (binary
     /// search over the memoized neighbor set).
     ///
@@ -371,19 +355,6 @@ impl CsrGraph {
     /// Panics if `u` is out of range.
     pub fn has_edge_between(&self, u: NodeId, v: NodeId) -> bool {
         self.distinct_neighbors(u).binary_search(&v).is_ok()
-    }
-
-    /// Maximum degree over all nodes (0 for the empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.node_count)
-            .map(|v| self.offsets[v + 1] - self.offsets[v])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total number of (node, incident edge) pairs, i.e. `2m`.
-    pub fn incidence_count(&self) -> usize {
-        self.incidents.len()
     }
 
     /// Builds a dense raw-edge-ID → endpoint-pair table: entry `i` holds
@@ -464,9 +435,6 @@ mod tests {
         let frozen = g.freeze();
         assert_eq!(frozen.node_count(), g.node_count());
         assert_eq!(frozen.edge_count(), g.edge_count());
-        assert_eq!(frozen.incidence_count(), g.incidence_count());
-        assert_eq!(frozen.max_degree(), g.max_degree());
-        assert!(!frozen.is_empty());
         for node in g.nodes() {
             assert_eq!(frozen.degree(node), g.degree(node));
             assert_eq!(frozen.incident_edges(node), g.incident_edges(node));
@@ -484,16 +452,11 @@ mod tests {
         // sorted, matching the allocating MultiGraph implementation.
         assert_eq!(frozen.degree(n(1)), 3);
         assert_eq!(frozen.distinct_neighbors(n(1)), &[n(0), n(2)]);
-        assert_eq!(frozen.distinct_neighbor_count(n(1)), 2);
         for node in g.nodes() {
             assert_eq!(
                 frozen.distinct_neighbors(node),
                 g.distinct_neighbors(node).as_slice(),
                 "{node}"
-            );
-            assert_eq!(
-                frozen.distinct_neighbor_count(node),
-                g.distinct_neighbor_count(node)
             );
         }
     }
@@ -541,8 +504,7 @@ mod tests {
     fn empty_and_isolated_graphs_freeze() {
         let empty = MultiGraph::new(0).freeze();
         assert_eq!(empty.node_count(), 0);
-        assert!(empty.is_empty());
-        assert_eq!(empty.max_degree(), 0);
+        assert_eq!(empty.edge_count(), 0);
 
         let isolated = MultiGraph::new(3).freeze();
         assert_eq!(isolated.degree(n(1)), 0);

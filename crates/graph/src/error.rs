@@ -40,20 +40,16 @@ pub enum GraphError {
         /// Human-readable description of the violated requirement.
         reason: String,
     },
-    /// A cluster assignment referenced a cluster index outside its range.
-    ClusterOutOfRange {
-        /// The offending cluster index.
-        cluster: usize,
-        /// Number of clusters declared by the assignment.
-        cluster_count: usize,
-    },
 }
 
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::NodeOutOfRange { node, node_count } => {
-                write!(f, "node {node} is out of range for a graph with {node_count} nodes")
+                write!(
+                    f,
+                    "node {node} is out of range for a graph with {node_count} nodes"
+                )
             }
             GraphError::UnknownEdge { edge } => write!(f, "edge {edge} does not exist"),
             GraphError::DuplicateEdgeId { edge } => {
@@ -68,10 +64,6 @@ impl fmt::Display for GraphError {
             GraphError::InvalidParameter { reason } => {
                 write!(f, "invalid parameter: {reason}")
             }
-            GraphError::ClusterOutOfRange { cluster, cluster_count } => write!(
-                f,
-                "cluster index {cluster} is out of range for an assignment with {cluster_count} clusters"
-            ),
         }
     }
 }

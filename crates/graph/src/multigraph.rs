@@ -39,11 +39,6 @@ impl Edge {
             panic!("{node} is not an endpoint of edge {}", self.id)
         }
     }
-
-    /// Returns `true` if `node` is one of the endpoints.
-    pub fn touches(&self, node: NodeId) -> bool {
-        self.u == node || self.v == node
-    }
 }
 
 /// An entry of a node's adjacency list: an incident edge together with the
@@ -168,12 +163,6 @@ impl MultiGraph {
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Returns `true` if the graph has no edges.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
     }
 
     /// Iterator over all node identifiers `0..node_count`.
@@ -324,7 +313,7 @@ impl MultiGraph {
     /// # Errors
     ///
     /// Returns [`GraphError::UnknownEdge`] if no such edge exists.
-    pub fn edge(&self, id: EdgeId) -> GraphResult<&Edge> {
+    pub(crate) fn edge(&self, id: EdgeId) -> GraphResult<&Edge> {
         self.slot_of(id)
             .map(|idx| &self.edges[idx])
             .ok_or(GraphError::UnknownEdge { edge: id })
@@ -412,11 +401,6 @@ impl MultiGraph {
             .collect()
     }
 
-    /// Returns `true` if at least one edge connects `u` and `v`.
-    pub fn has_edge_between(&self, u: NodeId, v: NodeId) -> bool {
-        self.adjacency[u.index()].iter().any(|ie| ie.neighbor == v)
-    }
-
     /// Returns `true` if the graph has neither parallel edges nor (by
     /// construction) self-loops.
     pub fn is_simple(&self) -> bool {
@@ -440,47 +424,11 @@ impl MultiGraph {
         self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Average degree `2m / n` (0 for the empty graph).
-    pub fn average_degree(&self) -> f64 {
-        if self.node_count == 0 {
-            0.0
-        } else {
-            2.0 * self.edge_count() as f64 / self.node_count as f64
-        }
-    }
-
     /// The degree sequence, sorted descending.
     pub fn degree_sequence(&self) -> Vec<usize> {
         let mut degrees: Vec<usize> = self.adjacency.iter().map(Vec::len).collect();
         degrees.sort_unstable_by(|a, b| b.cmp(a));
         degrees
-    }
-
-    /// Returns a simple graph with the same connectivity: for every pair of
-    /// adjacent nodes, exactly one representative edge (the one with the
-    /// smallest ID) is kept with its original identifier.
-    pub fn to_simple(&self) -> MultiGraph {
-        let mut keep: HashMap<(NodeId, NodeId), EdgeId> = HashMap::new();
-        for edge in &self.edges {
-            let key = if edge.u <= edge.v {
-                (edge.u, edge.v)
-            } else {
-                (edge.v, edge.u)
-            };
-            keep.entry(key)
-                .and_modify(|best| *best = (*best).min(edge.id))
-                .or_insert(edge.id);
-        }
-        let mut kept: Vec<(EdgeId, NodeId, NodeId)> =
-            keep.into_iter().map(|((u, v), id)| (id, u, v)).collect();
-        kept.sort_unstable_by_key(|(id, _, _)| *id);
-        let mut simple = MultiGraph::new(self.node_count);
-        for (id, u, v) in kept {
-            simple
-                .add_edge_with_id(id, u, v)
-                .expect("edges of a valid graph remain valid when deduplicated");
-        }
-        simple
     }
 
     /// Returns the subgraph containing exactly the edges in `edge_ids`
@@ -528,9 +476,7 @@ mod tests {
         let g = MultiGraph::new(5);
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 0);
-        assert!(g.is_empty());
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.average_degree(), 0.0);
         assert!(g.is_simple());
         assert_eq!(g.nodes().count(), 5);
     }
@@ -539,7 +485,7 @@ mod tests {
     fn zero_node_graph() {
         let g = MultiGraph::new(0);
         assert_eq!(g.node_count(), 0);
-        assert_eq!(g.average_degree(), 0.0);
+        assert_eq!(g.edge_count(), 0);
         assert_eq!(g.nodes().count(), 0);
     }
 
@@ -573,7 +519,7 @@ mod tests {
         assert_eq!(g.distinct_neighbor_count(n(0)), 1);
         assert_eq!(g.edges_between(n(0), n(1)), vec![a, b, c]);
         assert!(!g.is_simple());
-        assert!(g.has_edge_between(n(1), n(0)));
+        assert_eq!(g.edges_between(n(1), n(0)), vec![a, b, c]);
     }
 
     #[test]
@@ -636,9 +582,7 @@ mod tests {
         assert!(g.contains_edge(EdgeId::new(2)));
         assert!(!g.contains_edge(EdgeId::new(3)));
         let edge = g.edge(EdgeId::new(1)).unwrap();
-        assert!(edge.touches(n(1)));
-        assert!(edge.touches(n(2)));
-        assert!(!edge.touches(n(0)));
+        assert_eq!((edge.u, edge.v), (n(1), n(2)));
         assert_eq!(edge.other(n(1)), n(2));
     }
 
@@ -651,19 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn to_simple_collapses_parallels() {
-        let mut g = MultiGraph::new(3);
-        g.add_edge(n(0), n(1)).unwrap();
-        g.add_edge(n(0), n(1)).unwrap();
-        g.add_edge(n(1), n(2)).unwrap();
-        let s = g.to_simple();
-        assert_eq!(s.edge_count(), 2);
-        assert!(s.is_simple());
-        // The smallest edge id between 0 and 1 survives.
-        assert_eq!(s.edges_between(n(0), n(1)), vec![EdgeId::new(0)]);
-    }
-
-    #[test]
     fn edge_subgraph_selects_edges() {
         let g = triangle();
         let sub = g
@@ -671,9 +602,9 @@ mod tests {
             .unwrap();
         assert_eq!(sub.edge_count(), 2);
         assert_eq!(sub.node_count(), 3);
-        assert!(sub.has_edge_between(n(0), n(1)));
-        assert!(sub.has_edge_between(n(0), n(2)));
-        assert!(!sub.has_edge_between(n(1), n(2)));
+        assert_eq!(sub.edges_between(n(0), n(1)), vec![EdgeId::new(0)]);
+        assert_eq!(sub.edges_between(n(0), n(2)), vec![EdgeId::new(2)]);
+        assert!(sub.edges_between(n(1), n(2)).is_empty());
         assert!(g.edge_subgraph([EdgeId::new(42)]).is_err());
     }
 
@@ -685,7 +616,6 @@ mod tests {
         g.add_edge(n(0), n(3)).unwrap();
         assert_eq!(g.degree_sequence(), vec![3, 1, 1, 1]);
         assert_eq!(g.max_degree(), 3);
-        assert!((g.average_degree() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -701,7 +631,7 @@ mod tests {
         assert_eq!((removed.u, removed.v), (n(1), n(2)));
         assert_eq!(g.edge_count(), 2);
         assert!(!g.contains_edge(EdgeId::new(1)));
-        assert!(!g.has_edge_between(n(1), n(2)));
+        assert!(g.edges_between(n(1), n(2)).is_empty());
         assert_eq!(g.degree(n(1)), 1);
         assert_eq!(g.degree(n(2)), 1);
         // The surviving edges are still addressable after the swap-remove.

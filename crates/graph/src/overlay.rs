@@ -88,7 +88,7 @@ impl OverlayGraph {
 
     /// Number of nodes (the fixed `0..n` address space, active or not).
     #[inline]
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.adjacency.len()
     }
 
@@ -106,11 +106,6 @@ impl OverlayGraph {
     #[inline]
     pub fn is_active(&self, node: NodeId) -> bool {
         self.active[node.index()]
-    }
-
-    /// Number of currently active nodes.
-    pub fn active_node_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
     }
 
     /// The incidence list of `node` over the live edge set, in CSR-then-
@@ -135,13 +130,6 @@ impl OverlayGraph {
         self.live.iter().map(|(&id, &endpoints)| (id, endpoints))
     }
 
-    /// One past the largest edge ID ever live in this overlay — the dense
-    /// per-edge table size (ledger slots, endpoint tables) that addresses
-    /// every edge the execution can have seen.
-    pub fn edge_slot_count(&self) -> usize {
-        self.next_edge_id as usize
-    }
-
     /// Inserts an edge with the next free identifier and returns it.
     ///
     /// # Errors
@@ -160,7 +148,12 @@ impl OverlayGraph {
     ///
     /// Returns an error if either endpoint is out of range, `u == v`, or the
     /// identifier is already live.
-    pub fn insert_edge_with_id(&mut self, id: EdgeId, u: NodeId, v: NodeId) -> GraphResult<()> {
+    pub(crate) fn insert_edge_with_id(
+        &mut self,
+        id: EdgeId,
+        u: NodeId,
+        v: NodeId,
+    ) -> GraphResult<()> {
         self.check_node(u)?;
         self.check_node(v)?;
         if u == v {
@@ -267,8 +260,8 @@ mod tests {
         let overlay = OverlayGraph::new(&frozen);
         assert_eq!(overlay.node_count(), 4);
         assert_eq!(overlay.live_edge_count(), 3);
-        assert_eq!(overlay.active_node_count(), 4);
-        assert_eq!(overlay.edge_slot_count(), 3);
+        assert_eq!(overlay.active.iter().filter(|&&a| a).count(), 4);
+        assert_eq!(overlay.next_edge_id, 3);
         for v in frozen.nodes() {
             assert_eq!(overlay.incident_edges(v), frozen.incident_edges(v));
             assert!(overlay.is_active(v));
@@ -292,7 +285,7 @@ mod tests {
         assert_eq!(overlay.incident_edges(n(2)).len(), 1);
         assert!(overlay.remove_edge(EdgeId::new(1)).is_err());
         // The slot space still covers the deleted edge.
-        assert_eq!(overlay.edge_slot_count(), 4);
+        assert_eq!(overlay.next_edge_id, 4);
     }
 
     #[test]
@@ -318,7 +311,7 @@ mod tests {
         let mut overlay = OverlayGraph::new(&base());
         overlay.deactivate_node(n(1)).unwrap();
         assert!(!overlay.is_active(n(1)));
-        assert_eq!(overlay.active_node_count(), 3);
+        assert_eq!(overlay.active.iter().filter(|&&a| a).count(), 3);
         // Edge deletion is the driver's job; deactivation alone keeps them.
         assert_eq!(overlay.incident_edges(n(1)).len(), 2);
         overlay.activate_node(n(1)).unwrap();
@@ -348,7 +341,7 @@ mod tests {
             .unwrap();
         let next = overlay.insert_edge(n(1), n(3)).unwrap();
         assert_eq!(next, EdgeId::new(11));
-        assert_eq!(overlay.edge_slot_count(), 12);
+        assert_eq!(overlay.next_edge_id, 12);
     }
 
     #[test]

@@ -4,17 +4,12 @@
 //! The paper uses the classic equivalent definition of an `α`-spanner
 //! (footnote 1): `H = (V, S)` is an `α`-spanner of `G = (V, E)` iff for every
 //! edge `(u, v) ∈ E` the subgraph `H` admits a `u`–`v` path of length at most
-//! `α`. [`verify_edge_stretch`] measures exactly this quantity; and
-//! [`sampled_pair_stretch`] additionally estimates the multiplicative stretch
-//! over arbitrary node pairs, which is what a downstream simulation of a
-//! LOCAL algorithm experiences.
+//! `α`. [`verify_edge_stretch`] measures exactly this quantity.
 
 use crate::error::{GraphError, GraphResult};
 use crate::multigraph::MultiGraph;
-use crate::traversal::{bfs_distances, shortest_path_len};
+use crate::traversal::bfs_distances;
 use crate::{EdgeId, NodeId};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Per-edge stretch statistics of a candidate spanner.
@@ -66,7 +61,7 @@ pub fn verify_edge_stretch(
 /// # Errors
 ///
 /// Returns an error if the node counts of the two graphs differ.
-pub fn verify_edge_stretch_subgraph(
+pub(crate) fn verify_edge_stretch_subgraph(
     graph: &MultiGraph,
     spanner: &MultiGraph,
 ) -> GraphResult<StretchReport> {
@@ -128,90 +123,9 @@ pub fn verify_edge_stretch_subgraph(
     })
 }
 
-/// Stretch statistics over a random sample of node pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PairStretchReport {
-    /// Largest ratio `dist_H(u,v) / dist_G(u,v)` over the sampled pairs.
-    pub max_ratio: f64,
-    /// Mean ratio over the sampled pairs.
-    pub mean_ratio: f64,
-    /// Number of pairs sampled (pairs disconnected in `G` are skipped).
-    pub pairs_checked: usize,
-    /// Pairs connected in `G` but disconnected in `H`.
-    pub disconnected_pairs: usize,
-}
-
-/// Estimates the multiplicative stretch of `spanner` over `samples` random
-/// node pairs of `graph`.
-///
-/// # Errors
-///
-/// Returns an error if `samples` is zero, the node sets differ, or the graph
-/// has fewer than two nodes.
-pub fn sampled_pair_stretch<R: Rng + ?Sized>(
-    graph: &MultiGraph,
-    spanner: &MultiGraph,
-    samples: usize,
-    rng: &mut R,
-) -> GraphResult<PairStretchReport> {
-    if samples == 0 {
-        return Err(GraphError::invalid_parameter("samples must be positive"));
-    }
-    if graph.node_count() != spanner.node_count() {
-        return Err(GraphError::invalid_parameter(
-            "graph and spanner must share the node set",
-        ));
-    }
-    if graph.node_count() < 2 {
-        return Err(GraphError::invalid_parameter(
-            "need at least two nodes to sample pairs",
-        ));
-    }
-
-    let nodes: Vec<NodeId> = graph.nodes().collect();
-    let mut max_ratio = 0f64;
-    let mut total_ratio = 0f64;
-    let mut checked = 0usize;
-    let mut disconnected = 0usize;
-
-    for _ in 0..samples {
-        let pair: Vec<&NodeId> = nodes.choose_multiple(rng, 2).collect();
-        let (u, v) = (*pair[0], *pair[1]);
-        let Some(dg) = shortest_path_len(graph, u, v, None)? else {
-            continue;
-        };
-        if dg == 0 {
-            continue;
-        }
-        checked += 1;
-        match shortest_path_len(spanner, u, v, None)? {
-            Some(dh) => {
-                let ratio = f64::from(dh) / f64::from(dg);
-                max_ratio = max_ratio.max(ratio);
-                total_ratio += ratio;
-            }
-            None => disconnected += 1,
-        }
-    }
-
-    let mean_ratio = if checked > disconnected {
-        total_ratio / (checked - disconnected) as f64
-    } else {
-        0.0
-    };
-    Ok(PairStretchReport {
-        max_ratio,
-        mean_ratio,
-        pairs_checked: checked,
-        disconnected_pairs: disconnected,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -286,32 +200,5 @@ mod tests {
         let report = verify_edge_stretch(&g, [EdgeId::new(0)]).unwrap();
         assert_eq!(report.edges_checked, 1);
         assert_eq!(report.max_stretch, 1);
-    }
-
-    #[test]
-    fn sampled_pair_stretch_on_cycle() {
-        let g = cycle6();
-        let spanner_edges: Vec<EdgeId> = g.edge_ids().filter(|id| id.raw() != 5).collect();
-        let spanner = g.edge_subgraph(spanner_edges).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let report = sampled_pair_stretch(&g, &spanner, 200, &mut rng).unwrap();
-        assert!(report.pairs_checked > 0);
-        assert_eq!(report.disconnected_pairs, 0);
-        assert!(report.max_ratio >= 1.0);
-        // Dropping one edge of a 6-cycle can stretch a distance-1 pair to 5.
-        assert!(report.max_ratio <= 5.0 + 1e-9);
-        assert!(report.mean_ratio >= 1.0);
-    }
-
-    #[test]
-    fn sampled_pair_stretch_parameter_validation() {
-        let g = cycle6();
-        let spanner = g.clone();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(sampled_pair_stretch(&g, &spanner, 0, &mut rng).is_err());
-        let tiny = MultiGraph::new(1);
-        assert!(sampled_pair_stretch(&tiny, &tiny.clone(), 5, &mut rng).is_err());
-        let mismatched = MultiGraph::new(4);
-        assert!(sampled_pair_stretch(&g, &mismatched, 5, &mut rng).is_err());
     }
 }

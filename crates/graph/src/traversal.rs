@@ -38,25 +38,6 @@ impl BfsResult {
     pub fn distance(&self, node: NodeId) -> Option<u32> {
         self.dist.get(node.index()).copied().flatten()
     }
-
-    /// Number of reachable nodes (including the source).
-    pub fn reachable_count(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Reconstructs the path of edges from the source to `node`, if reachable.
-    pub fn path_to(&self, node: NodeId) -> Option<Vec<EdgeId>> {
-        self.distance(node)?;
-        let mut path = Vec::new();
-        let mut current = node;
-        while let Some(edge) = self.parent_edge[current.index()] {
-            path.push(edge);
-            current =
-                self.parent[current.index()].expect("parent exists whenever parent_edge does");
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 /// Runs a breadth-first search from `source`, optionally bounded to
@@ -243,7 +224,7 @@ pub fn is_connected<G: Topology>(graph: &G) -> bool {
 ///
 /// Returns [`GraphError::Disconnected`] when the graph has more than one
 /// connected component.
-pub fn require_connected<G: Topology>(graph: &G) -> GraphResult<()> {
+pub(crate) fn require_connected<G: Topology>(graph: &G) -> GraphResult<()> {
     let components = connected_components(graph);
     if graph.node_count() <= 1 || components.count == 1 {
         Ok(())
@@ -259,7 +240,7 @@ pub fn require_connected<G: Topology>(graph: &G) -> GraphResult<()> {
 /// # Errors
 ///
 /// Returns an error if `node` is out of range.
-pub fn eccentricity<G: Topology>(graph: &G, node: NodeId) -> GraphResult<u32> {
+pub(crate) fn eccentricity<G: Topology>(graph: &G, node: NodeId) -> GraphResult<u32> {
     let result = bfs(graph, node, None)?;
     Ok(result.dist.iter().flatten().copied().max().unwrap_or(0))
 }
@@ -275,31 +256,6 @@ pub fn diameter_exact<G: Topology>(graph: &G) -> GraphResult<u32> {
     let mut best = 0;
     for node in graph.nodes() {
         best = best.max(eccentricity(graph, node)?);
-    }
-    Ok(best)
-}
-
-/// Lower bound on the diameter obtained by running BFS from `samples`
-/// deterministic, evenly spread sources. Cheap alternative to
-/// [`diameter_exact`] for large graphs.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Disconnected`] if the graph is not connected, or an
-/// invalid-parameter error if `samples` is zero.
-pub fn diameter_lower_bound<G: Topology>(graph: &G, samples: usize) -> GraphResult<u32> {
-    if samples == 0 {
-        return Err(GraphError::invalid_parameter("samples must be positive"));
-    }
-    require_connected(graph)?;
-    let n = graph.node_count();
-    if n == 0 {
-        return Ok(0);
-    }
-    let step = (n / samples).max(1);
-    let mut best = 0;
-    for i in (0..n).step_by(step).take(samples) {
-        best = best.max(eccentricity(graph, NodeId::from_usize(i))?);
     }
     Ok(best)
 }
@@ -335,17 +291,25 @@ mod tests {
         let result = bfs(&g, n(0), Some(2)).unwrap();
         assert_eq!(result.distance(n(2)), Some(2));
         assert_eq!(result.distance(n(3)), None);
-        assert_eq!(result.reachable_count(), 3);
+        assert_eq!(result.order.len(), 3);
     }
 
     #[test]
     fn bfs_path_reconstruction() {
         let g = path_plus_isolated();
         let result = bfs(&g, n(0), None).unwrap();
-        let path = result.path_to(n(3)).unwrap();
+        // Walking the BFS tree up from node 3 reaches the source in three
+        // tree edges; the source has no parent edge, the isolated node none.
+        let mut path = Vec::new();
+        let mut node = n(3);
+        while let Some(edge) = result.parent_edge[node.index()] {
+            path.push(edge);
+            node = result.parent[node.index()].unwrap();
+        }
         assert_eq!(path.len(), 3);
-        assert_eq!(result.path_to(n(0)).unwrap(), Vec::<EdgeId>::new());
-        assert!(result.path_to(n(4)).is_none());
+        assert_eq!(node, n(0));
+        assert!(result.parent_edge[n(4).index()].is_none());
+        assert!(result.distance(n(4)).is_none());
     }
 
     #[test]
@@ -404,16 +368,12 @@ mod tests {
         assert_eq!(eccentricity(&g, n(0)).unwrap(), 3);
         assert_eq!(eccentricity(&g, n(1)).unwrap(), 2);
         assert_eq!(diameter_exact(&g).unwrap(), 3);
-        let lb = diameter_lower_bound(&g, 2).unwrap();
-        assert!((2..=3).contains(&lb));
     }
 
     #[test]
     fn diameter_requires_connected() {
         let g = path_plus_isolated();
         assert!(diameter_exact(&g).is_err());
-        assert!(diameter_lower_bound(&g, 1).is_err());
-        assert!(diameter_lower_bound(&MultiGraph::new(3), 0).is_err());
     }
 
     #[test]

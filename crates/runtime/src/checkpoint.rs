@@ -17,8 +17,7 @@
 //!   barrier, waiting to be read next round), pre-encoded through the
 //!   message type's [`WireCodec`] so the checkpoint itself is not generic;
 //! * the [`ExecutionMetrics`], [`MessageLedger`] and [`Trace`] observables;
-//! * the fault plane's port-silence counters and the churn events of the
-//!   capture round;
+//! * the churn events of the capture round;
 //! * integrity anchors: a graph fingerprint and digests of the installed
 //!   fault/churn plans. Plans are *not* serialized — both planes are keyed
 //!   streams re-derived from `(seed, round, …)`, so the caller re-supplies
@@ -67,9 +66,9 @@ use std::path::Path;
 /// Checkpoint-file magic: `"FLCP"` (freelunch checkpoint).
 const CHECKPOINT_MAGIC: [u8; 4] = *b"FLCP";
 /// Checkpoint format version; bumped on any layout change (v2 added a
-/// scheduling byte and the work-stealing chunk size to the config section;
-/// the scheduling byte is now zero padding, so the layout is unchanged).
-const CHECKPOINT_VERSION: u8 = 2;
+/// scheduling byte, now zero padding, and the work-stealing chunk size to
+/// the config section; v3 dropped the port-silence section).
+const CHECKPOINT_VERSION: u8 = 3;
 /// Encoded size of a [`TraceEvent`] in the trace section.
 const TRACE_EVENT_BYTES: usize = 20;
 
@@ -87,7 +86,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Digest of a value's `Debug` rendering (derived `Debug` output is
 /// deterministic, which makes this a cheap structural fingerprint for the
 /// fault/churn plans the caller must re-supply at restore).
-pub fn debug_digest<T: fmt::Debug>(value: &T) -> u64 {
+pub(crate) fn debug_digest<T: fmt::Debug>(value: &T) -> u64 {
     fnv1a64(format!("{value:?}").as_bytes())
 }
 
@@ -95,7 +94,7 @@ pub fn debug_digest<T: fmt::Debug>(value: &T) -> u64 {
 /// edge-endpoint table, FNV-1a hashed in little-endian order. Restore
 /// rejects a checkpoint whose fingerprint differs from the graph the caller
 /// supplies.
-pub fn graph_fingerprint(node_count: usize, endpoints: &[[u32; 2]]) -> u64 {
+pub(crate) fn graph_fingerprint(node_count: usize, endpoints: &[[u32; 2]]) -> u64 {
     let mut bytes = Vec::with_capacity(8 + endpoints.len() * 8);
     bytes.extend_from_slice(&(node_count as u64).to_le_bytes());
     for pair in endpoints {
@@ -109,7 +108,7 @@ pub fn graph_fingerprint(node_count: usize, endpoints: &[[u32; 2]]) -> u64 {
 ///
 /// ```text
 /// [0..4]   magic "FLCP"
-/// [4]      version (2)
+/// [4]      version (3)
 /// [5..8]   zero padding
 /// [8..16]  u64 body_len   — exact byte length of the body that follows
 /// [16..24] u64 checksum   — FNV-1a 64 of the body
@@ -248,9 +247,6 @@ pub struct NetworkCheckpoint {
     /// Per-node ChaCha word positions; the stream keys are re-derived from
     /// [`NetworkConfig::seed`] at restore, so only positions are stored.
     pub rng_positions: Vec<u64>,
-    /// Per-node per-port consecutive-silence counters (`None` when no fault
-    /// plan was installed, which is when the engine doesn't maintain them).
-    pub port_silence: Option<Vec<Vec<u32>>>,
     /// Per-node program state from [`NodeProgram::save_state`] (empty for
     /// programs that keep no state).
     ///
@@ -445,25 +441,12 @@ impl NetworkCheckpoint {
         for &pos in &self.rng_positions {
             buf.extend_from_slice(&pos.to_le_bytes());
         }
-        // Section 8: port silence.
-        match &self.port_silence {
-            None => buf.push(0u8),
-            Some(silence) => {
-                buf.push(1u8);
-                for counters in silence {
-                    buf.extend_from_slice(&(counters.len() as u32).to_le_bytes());
-                    for &counter in counters {
-                        buf.extend_from_slice(&counter.to_le_bytes());
-                    }
-                }
-            }
-        }
-        // Section 9: program states.
+        // Section 8: program states.
         for state in &self.program_states {
             buf.extend_from_slice(&(state.len() as u32).to_le_bytes());
             buf.extend_from_slice(state);
         }
-        // Section 10: pending mailboxes.
+        // Section 9: pending mailboxes.
         for mailbox in &self.pending {
             buf.extend_from_slice(&(mailbox.len() as u32).to_le_bytes());
             for envelope in mailbox {
@@ -473,15 +456,15 @@ impl NetworkCheckpoint {
                 buf.extend_from_slice(&envelope.payload);
             }
         }
-        // Section 11: churn events of the capture round.
+        // Section 10: churn events of the capture round.
         buf.extend_from_slice(&(self.churn_events.len() as u32).to_le_bytes());
         for event in &self.churn_events {
             event.encode(&mut buf);
         }
-        // Section 12: metrics.
+        // Section 11: metrics.
         encode_u64_vec(&mut buf, &self.metrics_messages_per_round);
         encode_u64_vec(&mut buf, &self.metrics_messages_per_node);
-        // Section 13: ledger.
+        // Section 12: ledger.
         encode_u64_vec(&mut buf, &self.ledger_messages_per_edge);
         encode_u64_vec(&mut buf, &self.ledger_bytes_per_edge);
         encode_u64_vec(&mut buf, &self.ledger_messages_per_round);
@@ -492,7 +475,7 @@ impl NetworkCheckpoint {
         buf.extend_from_slice(&self.ledger_dropped_random.to_le_bytes());
         buf.extend_from_slice(&self.ledger_dropped_link_cut.to_le_bytes());
         buf.extend_from_slice(&self.ledger_dropped_crash.to_le_bytes());
-        // Section 14: trace.
+        // Section 13: trace.
         buf.extend_from_slice(&self.trace_capacity.to_le_bytes());
         buf.extend_from_slice(&self.trace_dropped.to_le_bytes());
         buf.extend_from_slice(&(self.trace_events.len() as u32).to_le_bytes());
@@ -587,35 +570,13 @@ impl NetworkCheckpoint {
         for _ in 0..nodes {
             rng_positions.push(r.u64("rng position")?);
         }
-        // Section 8: port silence.
-        let port_silence = match r.u8("port-silence flag")? {
-            0 => None,
-            1 => {
-                let mut silence = Vec::with_capacity(nodes);
-                for _ in 0..nodes {
-                    let len = r.u32("port-silence length")? as usize;
-                    let mut counters = Vec::with_capacity(len.min(r.remaining() / 4 + 1));
-                    for _ in 0..len {
-                        counters.push(r.u32("port-silence counter")?);
-                    }
-                    silence.push(counters);
-                }
-                Some(silence)
-            }
-            tag => {
-                return Err(RuntimeError::checkpoint(format!(
-                    "port-silence flag must be 0 or 1, found {tag} at offset {}",
-                    r.pos - 1
-                )))
-            }
-        };
-        // Section 9: program states.
+        // Section 8: program states.
         let mut program_states = Vec::with_capacity(nodes);
         for _ in 0..nodes {
             let len = r.u32("program-state length")? as usize;
             program_states.push(r.take(len, "program state")?.to_vec());
         }
-        // Section 10: pending mailboxes.
+        // Section 9: pending mailboxes.
         let mut pending = Vec::with_capacity(nodes);
         for _ in 0..nodes {
             let count = r.u32("pending-mailbox count")? as usize;
@@ -633,7 +594,7 @@ impl NetworkCheckpoint {
             }
             pending.push(mailbox);
         }
-        // Section 11: churn events.
+        // Section 10: churn events.
         let churn_count = r.u32("churn-event count")? as usize;
         let mut churn_events = Vec::with_capacity(churn_count.min(r.remaining() / 20 + 1));
         for index in 0..churn_count {
@@ -642,10 +603,10 @@ impl NetworkCheckpoint {
                 RuntimeError::checkpoint(format!("churn event {index} failed to decode: {e}"))
             })?);
         }
-        // Section 12: metrics.
+        // Section 11: metrics.
         let metrics_messages_per_round = decode_u64_vec(&mut r, "metrics.messages_per_round")?;
         let metrics_messages_per_node = decode_u64_vec(&mut r, "metrics.messages_per_node")?;
-        // Section 13: ledger.
+        // Section 12: ledger.
         let ledger_messages_per_edge = decode_u64_vec(&mut r, "ledger.messages_per_edge")?;
         let ledger_bytes_per_edge = decode_u64_vec(&mut r, "ledger.bytes_per_edge")?;
         let ledger_messages_per_round = decode_u64_vec(&mut r, "ledger.messages_per_round")?;
@@ -657,7 +618,7 @@ impl NetworkCheckpoint {
         let ledger_dropped_random = r.u64("ledger.dropped_random")?;
         let ledger_dropped_link_cut = r.u64("ledger.dropped_link_cut")?;
         let ledger_dropped_crash = r.u64("ledger.dropped_crash")?;
-        // Section 14: trace.
+        // Section 13: trace.
         let trace_capacity = r.u64("trace.capacity")?;
         let trace_dropped = r.u64("trace.dropped")?;
         let trace_count = r.u32("trace-event count")? as usize;
@@ -694,7 +655,6 @@ impl NetworkCheckpoint {
             churn_digest,
             halted,
             rng_positions,
-            port_silence,
             program_states,
             pending,
             churn_events,
@@ -808,7 +768,6 @@ mod tests {
             churn_digest: 0xF00D,
             halted: vec![false, true],
             rng_positions: vec![17, 0],
-            port_silence: Some(vec![vec![1, 2], vec![]]),
             program_states: vec![vec![1, 2, 3], Vec::new()],
             pending: vec![
                 vec![PendingEnvelope {

@@ -281,24 +281,6 @@ impl ChurnPlan {
         self
     }
 
-    /// Returns a copy scheduling an edge insertion between `u` and `v`.
-    pub fn with_edge_insert(mut self, round: u32, u: NodeId, v: NodeId) -> Self {
-        self.scheduled.push(ScheduledChurn {
-            round,
-            event: ChurnEventSpec::InsertEdge { u, v },
-        });
-        self
-    }
-
-    /// Returns a copy scheduling the deletion of `edge`.
-    pub fn with_edge_delete(mut self, round: u32, edge: EdgeId) -> Self {
-        self.scheduled.push(ScheduledChurn {
-            round,
-            event: ChurnEventSpec::DeleteEdge { edge },
-        });
-        self
-    }
-
     /// Returns a copy scheduling the departure of `node`.
     pub fn with_node_leave(mut self, round: u32, node: NodeId) -> Self {
         self.scheduled.push(ScheduledChurn {
@@ -422,7 +404,7 @@ impl ChurnDriver {
     }
 
     /// The plan this driver was resolved from.
-    pub fn plan(&self) -> &ChurnPlan {
+    pub(crate) fn plan(&self) -> &ChurnPlan {
         &self.plan
     }
 
@@ -489,11 +471,6 @@ impl ChurnDriver {
                 .expect("picked endpoints are distinct active nodes");
         }
         Ok(events)
-    }
-
-    /// Rounds that still have scheduled events pending.
-    pub fn pending_scheduled_rounds(&self) -> usize {
-        self.scheduled.len()
     }
 
     fn apply_scheduled(
@@ -644,6 +621,22 @@ mod tests {
         g.freeze()
     }
 
+    /// `plan` with `event` scheduled in `round`.
+    fn schedule(mut plan: ChurnPlan, round: u32, event: ChurnEventSpec) -> ChurnPlan {
+        plan.scheduled.push(ScheduledChurn { round, event });
+        plan
+    }
+
+    fn insert(u: u32, v: u32) -> ChurnEventSpec {
+        ChurnEventSpec::InsertEdge { u: n(u), v: n(v) }
+    }
+
+    fn delete(edge: u64) -> ChurnEventSpec {
+        ChurnEventSpec::DeleteEdge {
+            edge: EdgeId::new(edge),
+        }
+    }
+
     #[test]
     fn empty_plan_is_empty_and_produces_no_events() {
         let plan = ChurnPlan::none();
@@ -661,12 +654,10 @@ mod tests {
         let plan = ChurnPlan::new(3)
             .with_insert_rate(0.1)
             .with_delete_rate(0.2)
-            .with_edge_insert(1, n(0), n(2))
-            .with_edge_delete(2, EdgeId::new(0))
             .with_node_leave(3, n(3))
             .with_node_join(4, n(3));
         assert!(!plan.is_empty());
-        assert_eq!(plan.scheduled.len(), 4);
+        assert_eq!(plan.scheduled.len(), 2);
         assert!(plan.validate().is_ok());
         assert!(ChurnPlan::new(0).with_insert_rate(1.5).validate().is_err());
         assert!(ChurnPlan::new(0)
@@ -678,9 +669,8 @@ mod tests {
 
     #[test]
     fn scheduled_events_apply_in_plan_order() {
-        let plan = ChurnPlan::new(0)
-            .with_edge_delete(1, EdgeId::new(1))
-            .with_edge_insert(1, n(1), n(3));
+        let plan = schedule(ChurnPlan::new(0), 1, delete(1));
+        let plan = schedule(plan, 1, insert(1, 3));
         let mut driver = ChurnDriver::new(plan, &path4()).unwrap();
         assert!(driver.apply_round(0).unwrap().is_empty());
         let events = driver.apply_round(1).unwrap();
@@ -698,7 +688,7 @@ mod tests {
             ]
         );
         assert_eq!(driver.overlay().live_edge_count(), 3);
-        assert_eq!(driver.pending_scheduled_rounds(), 0);
+        assert!(driver.scheduled.is_empty());
     }
 
     #[test]
@@ -726,8 +716,8 @@ mod tests {
     fn join_reactivates_a_departed_node() {
         let plan = ChurnPlan::new(0)
             .with_node_leave(1, n(3))
-            .with_node_join(2, n(3))
-            .with_edge_insert(3, n(3), n(0));
+            .with_node_join(2, n(3));
+        let plan = schedule(plan, 3, insert(3, 0));
         let mut driver = ChurnDriver::new(plan, &path4()).unwrap();
         driver.apply_round(1).unwrap();
         assert!(!driver.overlay().is_active(n(3)));
@@ -739,13 +729,11 @@ mod tests {
 
     #[test]
     fn infeasible_scheduled_events_are_config_errors() {
-        let plan = ChurnPlan::new(0).with_edge_delete(1, EdgeId::new(9));
+        let plan = schedule(ChurnPlan::new(0), 1, delete(9));
         let mut driver = ChurnDriver::new(plan, &path4()).unwrap();
         assert!(driver.apply_round(1).is_err());
 
-        let plan = ChurnPlan::new(0)
-            .with_node_leave(1, n(2))
-            .with_edge_insert(2, n(2), n(0));
+        let plan = schedule(ChurnPlan::new(0).with_node_leave(1, n(2)), 2, insert(2, 0));
         let mut driver = ChurnDriver::new(plan, &path4()).unwrap();
         driver.apply_round(1).unwrap();
         assert!(driver.apply_round(2).is_err());

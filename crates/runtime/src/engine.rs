@@ -406,15 +406,6 @@ pub struct Network<
     /// plan, which is how "clean plan ≡ no plan" is byte-identical by
     /// construction.
     faults: Option<ResolvedFaultPlan>,
-    /// Per-node, per-port consecutive-silent-round counters surfaced as
-    /// [`Context::port_silence`]; maintained (and allocated) only under an
-    /// installed fault plan.
-    port_silence: Vec<Vec<u32>>,
-    /// Dense raw-edge-ID → `[port at endpoints[0], port at endpoints[1]]`
-    /// table (aligned with `edge_endpoints`), giving the silence update an
-    /// O(1) port lookup per delivered envelope. Built only under an
-    /// installed fault plan; empty otherwise.
-    edge_ports: Vec<[u32; 2]>,
     /// Installed churn driver, holding the plan's keyed event streams and
     /// the mutable [`OverlayGraph`] view of the topology. `None` on the
     /// static fast path — including when the caller passed an *empty*
@@ -423,8 +414,8 @@ pub struct Network<
     churn: Option<ChurnDriver>,
     /// Churn events applied at the top of the current round, in canonical
     /// order; handed to the transport at the barrier
-    /// ([`RoundBarrier::churn`]) and exposed through
-    /// [`Network::last_churn_events`]. Always empty without a driver.
+    /// ([`RoundBarrier::churn`]) and recorded in checkpoints. Always empty
+    /// without a driver.
     churn_events: Vec<ChurnEvent>,
     trace: Trace,
     round: u32,
@@ -640,8 +631,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     ///
     /// Faults and churn compose: churn is applied at the top of the round
     /// (before programs step), faults act on the messages those programs
-    /// then send. Under both plans the fault plane's port tables are
-    /// rebuilt from the live overlay after every churn round.
+    /// then send.
     ///
     /// # Errors
     ///
@@ -745,31 +735,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         } else {
             Some(ChurnDriver::new(churn_plan, &csr)?)
         };
-        let (port_silence, edge_ports) = if faults.is_some() {
-            let silence = (0..node_count)
-                .map(|v| vec![0u32; csr.incident_edges(NodeId::from_usize(v)).len()])
-                .collect();
-            // Dense edge → (port at lower endpoint slot, port at higher
-            // slot) table aligned with `edge_endpoints`, so the silence
-            // update below resolves each envelope's port with one read
-            // instead of scanning the incidence slice.
-            let mut ports = vec![[u32::MAX; 2]; edge_slots];
-            for v in 0..node_count {
-                let me = v as u32;
-                for (port, incident) in csr.incident_edges(NodeId::from_usize(v)).iter().enumerate()
-                {
-                    let slot = if edge_endpoints[incident.edge.index()][0] == me {
-                        0
-                    } else {
-                        1
-                    };
-                    ports[incident.edge.index()][slot] = port as u32;
-                }
-            }
-            (silence, ports)
-        } else {
-            (Vec::new(), Vec::new())
-        };
         let shards = config.shards.min(owned.len()).max(1);
         let shape = GridShape::new(
             owned.len(),
@@ -806,25 +771,12 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             metrics: ExecutionMetrics::new(node_count),
             ledger,
             faults,
-            port_silence,
-            edge_ports,
             churn,
             churn_events: Vec::new(),
             trace: Trace::with_capacity(config.trace_capacity),
             round: 0,
             initialized: false,
         })
-    }
-
-    /// The communication graph the network runs on, as its frozen
-    /// [`CsrGraph`] view (the network keeps no mutable copy).
-    pub fn graph(&self) -> &CsrGraph {
-        &self.csr
-    }
-
-    /// The configuration the network was built with.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
     }
 
     /// The current round number (0 before the first round).
@@ -860,20 +812,9 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         &self.transport
     }
 
-    /// Mutable access to the delivery backend (e.g. to read a
-    /// [`MockTransport`](crate::transport::MockTransport)'s frame log).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
     /// Immutable access to all node programs (indexed by node).
     pub fn programs(&self) -> &[P] {
         &self.programs
-    }
-
-    /// Immutable access to the program of a single node.
-    pub fn program(&self, node: NodeId) -> &P {
-        &self.programs[node.index()]
     }
 
     /// Consumes the network and returns the node programs (for extracting
@@ -915,29 +856,22 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     /// The installed [`FaultPlan`], if any. `None` both when no plan was
     /// installed and when an empty one was (the two are indistinguishable by
     /// design: an empty plan injects nothing).
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref().map(ResolvedFaultPlan::plan)
     }
 
     /// The installed [`ChurnPlan`], if any. `None` both when no plan was
     /// installed and when an empty one was (the two are indistinguishable
     /// by design: an empty plan emits nothing).
-    pub fn churn_plan(&self) -> Option<&ChurnPlan> {
+    pub(crate) fn churn_plan(&self) -> Option<&ChurnPlan> {
         self.churn.as_ref().map(ChurnDriver::plan)
     }
 
     /// The live topology under churn: the [`OverlayGraph`] the installed
     /// churn driver maintains. `None` without a (non-empty) churn plan —
-    /// the topology is then the frozen [`Network::graph`] forever.
+    /// the topology is then the frozen graph the network was built on.
     pub fn churn_overlay(&self) -> Option<&OverlayGraph> {
         self.churn.as_ref().map(ChurnDriver::overlay)
-    }
-
-    /// The churn events applied at the top of the current round, in
-    /// canonical application order (empty without a churn plan, and empty
-    /// again after a round in which the plan emitted nothing).
-    pub fn last_churn_events(&self) -> &[ChurnEvent] {
-        &self.churn_events
     }
 
     /// Returns `true` if `node` has crashed by the current round (it no
@@ -973,7 +907,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     /// Effective shard count: the configured value clamped to the number of
     /// locally owned nodes (a shard with no nodes would be a useless
     /// thread).
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.config.shards.min(self.owned.len()).max(1)
     }
 
@@ -1005,7 +939,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         let mailboxes = &self.mailboxes;
         let faults = self.faults.as_ref();
         let message_faults = faults.filter(|faults| faults.affects_messages());
-        let port_silence = &self.port_silence;
         let overlay = self.churn.as_ref().map(ChurnDriver::overlay);
 
         let step = |index: usize,
@@ -1039,7 +972,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 Some(overlay) => overlay.incident_edges(node),
                 None => csr.incident_edges(node),
             };
-            let silence: &[u32] = port_silence.get(index).map_or(&[], Vec::as_slice);
             let mut ctx = Context::new(
                 InitialKnowledge::new(csr, node, model, log_n_upper_bound),
                 ports,
@@ -1047,7 +979,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 round,
                 rng,
                 outbox,
-                silence,
             );
             match phase {
                 Phase::Init => program.init(&mut ctx),
@@ -1188,42 +1119,9 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         }
     }
 
-    /// Advances the per-port silence counters from this round's inboxes:
-    /// every counter ages by one round, then every port that delivered at
-    /// least one message this round resets to zero. Maintained only under a
-    /// fault plan (the per-node counter vectors are empty otherwise), purely
-    /// from the node's own inbox — so the counters are as shard-independent
-    /// as the inboxes themselves. The `edge_ports` table makes each
-    /// envelope's port lookup a single read.
-    fn update_port_silence(&mut self) {
-        if self.faults.is_none() {
-            return;
-        }
-        for (v, counters) in self.port_silence.iter_mut().enumerate() {
-            for counter in counters.iter_mut() {
-                *counter = counter.saturating_add(1);
-            }
-            let me = v as u32;
-            for envelope in &self.mailboxes[v] {
-                let edge = envelope.edge.index();
-                let slot = if self.edge_endpoints[edge][0] == me {
-                    0
-                } else {
-                    1
-                };
-                let port = self.edge_ports[edge][slot] as usize;
-                if let Some(counter) = counters.get_mut(port) {
-                    *counter = 0;
-                }
-            }
-        }
-    }
-
     /// Churn pass of the round: draws and applies this round's events from
-    /// the installed plan (a no-op without one), updates the engine's dense
-    /// edge tables and halted flags, and — under a fault plan — rebuilds
-    /// the fault plane's port tables from the live overlay. Runs at the top
-    /// of the round, *before* the execute phase, so programs already see
+    /// the installed plan (a no-op without one) and updates the engine's
+    /// dense edge tables and halted flags. Runs at the top of the round, *before* the execute phase, so programs already see
     /// the updated topology; messages sent in the previous round are still
     /// delivered this round even if their edge just vanished (they were in
     /// flight at the barrier).
@@ -1233,9 +1131,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             return Ok(());
         };
         let events = churn.apply_round(round)?;
-        // Endpoints of every inserted or deleted edge: exactly the nodes
-        // whose incidence lists, and so whose port numbers, changed.
-        let mut renumbered: Vec<u32> = Vec::new();
         for &event in &events {
             match event {
                 ChurnEvent::EdgeInsert { edge, u, v } => {
@@ -1245,7 +1140,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                             .resize(slot + 1, [CsrGraph::NO_ENDPOINT; 2]);
                     }
                     self.edge_endpoints[slot] = [u.raw(), v.raw()];
-                    renumbered.extend([u.raw(), v.raw()]);
                     // The ledger gains a counter for the new edge; existing
                     // counters (and history) are untouched.
                     self.ledger.ensure_edge_slots(slot + 1);
@@ -1253,11 +1147,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 ChurnEvent::EdgeDelete { edge } => {
                     // A deleted edge becomes unknown to `Context::send`;
                     // its ledger counters keep their history.
-                    let ends = std::mem::replace(
-                        &mut self.edge_endpoints[edge.index()],
-                        [CsrGraph::NO_ENDPOINT; 2],
-                    );
-                    renumbered.extend(ends);
+                    self.edge_endpoints[edge.index()] = [CsrGraph::NO_ENDPOINT; 2];
                 }
                 ChurnEvent::NodeLeave { node } => {
                     // Departed nodes count as halted so executions still
@@ -1267,37 +1157,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 ChurnEvent::NodeJoin { node } => {
                     self.halted[node.index()] = false;
                 }
-            }
-        }
-        if self.faults.is_some() && !events.is_empty() {
-            // Rebuild the fault plane's dense port tables from the live
-            // overlay: ports shift when incidence lists change, and every
-            // endpoint of an inserted or deleted edge gets fresh silence
-            // counters (its old per-port numbering is meaningless, even
-            // when a loss and a gain leave its degree unchanged).
-            let overlay = self
-                .churn
-                .as_ref()
-                .expect("events imply an installed driver")
-                .overlay();
-            let edge_endpoints = &self.edge_endpoints;
-            self.edge_ports.clear();
-            self.edge_ports.resize(edge_endpoints.len(), [u32::MAX; 2]);
-            for v in 0..self.port_silence.len() {
-                let me = v as u32;
-                let incident = overlay.incident_edges(NodeId::from_usize(v));
-                for (port, ie) in incident.iter().enumerate() {
-                    let slot = if edge_endpoints[ie.edge.index()][0] == me {
-                        0
-                    } else {
-                        1
-                    };
-                    self.edge_ports[ie.edge.index()][slot] = port as u32;
-                }
-            }
-            for v in renumbered {
-                self.port_silence[v as usize] =
-                    vec![0; overlay.incident_edges(NodeId::new(v)).len()];
             }
         }
         self.churn_events = events;
@@ -1338,9 +1197,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         // This round reads what the last barrier delivered; the dispatch
         // phase clears and refills the plane (capacity kept) afterwards.
         self.in_flight = 0;
-        // Silence counters first (they describe the round that just
-        // delivered, on its port numbering), then this round's churn.
-        self.update_port_silence();
         let round = self.round;
         let stepped = self
             .apply_churn(round)
@@ -1380,27 +1236,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         self.initialize()?;
         let mut executed = 0;
         while !self.all_halted() {
-            if executed >= budget {
-                return Err(RuntimeError::RoundBudgetExceeded { budget });
-            }
-            self.run_round()?;
-            executed += 1;
-        }
-        Ok(())
-    }
-
-    /// Runs rounds until no messages are in flight and every node has halted,
-    /// up to `budget` rounds. Useful for algorithms whose halting decision
-    /// depends on silence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundBudgetExceeded`] if the network is still
-    /// active after `budget` rounds.
-    pub fn run_until_quiet(&mut self, budget: u32) -> RuntimeResult<()> {
-        self.initialize()?;
-        let mut executed = 0;
-        while !(self.all_halted() && self.pending_messages() == 0) {
             if executed >= budget {
                 return Err(RuntimeError::RoundBudgetExceeded { budget });
             }
@@ -1467,7 +1302,6 @@ where
             churn_digest: debug_digest(&self.churn_plan()),
             halted: self.halted.clone(),
             rng_positions: self.rngs.iter().map(|rng| rng.word_pos()).collect(),
-            port_silence: self.faults.as_ref().map(|_| self.port_silence.clone()),
             program_states,
             pending,
             churn_events: self.churn_events.clone(),
@@ -1507,8 +1341,7 @@ where
     ///
     /// [`RuntimeError::Checkpoint`] if the graph, fault plan, or churn plan
     /// differs from what the checkpoint was taken under, a section has the
-    /// wrong shape (a port-silence row must hold one counter per live port
-    /// of its node), a program or pending payload fails to decode, a pending
+    /// wrong shape, a program or pending payload fails to decode, a pending
     /// message names an edge beyond the replayed graph's edge slots, or the
     /// churn replay diverges — plus every error [`Network::with_plans`] can
     /// return for the checkpoint's config.
@@ -1559,12 +1392,6 @@ where
                 checkpoint.churn_digest
             )));
         }
-        if checkpoint.port_silence.is_some() != network.faults.is_some() {
-            return Err(RuntimeError::checkpoint(
-                "the checkpoint's port-silence section does not match the supplied fault \
-                 plan (present under a plan, absent without one)",
-            ));
-        }
         let shape = |name: &str, got: usize, want: usize| -> RuntimeResult<()> {
             if got == want {
                 Ok(())
@@ -1587,9 +1414,6 @@ where
             checkpoint.metrics_messages_per_node.len(),
             node_count,
         )?;
-        if let Some(silence) = &checkpoint.port_silence {
-            shape("port_silence", silence.len(), node_count)?;
-        }
         if !checkpoint.initialized {
             if checkpoint.round != 0 {
                 return Err(RuntimeError::checkpoint(format!(
@@ -1711,15 +1535,6 @@ where
                     payload,
                 });
             }
-        }
-        if let Some(silence) = &checkpoint.port_silence {
-            // After the replay the network holds one counter per live port
-            // of every node; a row of any other length would leave
-            // `Context::port_silence` out of step with the node's ports.
-            for (v, (row, live)) in silence.iter().zip(&network.port_silence).enumerate() {
-                shape(&format!("port_silence[{v}]"), row.len(), live.len())?;
-            }
-            network.port_silence = silence.clone();
         }
         network.metrics = ExecutionMetrics {
             messages_per_round: checkpoint.metrics_messages_per_round.clone(),
@@ -2519,39 +2334,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_until_quiet_waits_for_in_flight_messages() {
-        /// Node 0 sends one message in round 1 and halts immediately; the
-        /// receiver halts when it hears it.
-        struct OneShot {
-            sent: bool,
-        }
-        impl NodeProgram for OneShot {
-            type Message = ();
-            fn round(&mut self, ctx: &mut Context<'_, ()>, inbox: &[Envelope<()>]) {
-                if ctx.node() == NodeId::new(0) && !self.sent {
-                    ctx.broadcast(());
-                    self.sent = true;
-                }
-                if ctx.node() != NodeId::new(0) && !inbox.is_empty() {
-                    ctx.halt();
-                }
-                if ctx.node() == NodeId::new(0) {
-                    ctx.halt();
-                }
-            }
-        }
-        let graph = cycle(3);
-        let mut network = Network::new(&graph, NetworkConfig::default(), |_, _| OneShot {
-            sent: false,
-        })
-        .unwrap();
-        network.run_until_quiet(10).unwrap();
-        assert!(network.all_halted());
-        assert_eq!(network.pending_messages(), 0);
-        assert_eq!(network.halted_count(), 3);
-    }
-
     /// Runs `NoisyGossip` under a fault plan and returns every observable.
     fn noisy_faulty_run(
         graph: &MultiGraph,
@@ -2751,18 +2533,27 @@ mod tests {
     }
 
     #[test]
-    fn port_silence_observes_a_crashed_neighbor() {
-        /// Broadcasts every round and snapshots its port-silence counters.
+    fn a_crashed_neighbor_is_observed_as_silence() {
+        /// Broadcasts every round and counts, per port, the consecutive
+        /// rounds in which nothing arrived over it, from its own inbox.
         struct SilenceWatcher {
-            last: Vec<u32>,
+            silence: Vec<u32>,
         }
         impl NodeProgram for SilenceWatcher {
             type Message = ();
             fn init(&mut self, ctx: &mut Context<'_, ()>) {
+                self.silence = vec![0; ctx.degree()];
                 ctx.broadcast(());
             }
-            fn round(&mut self, ctx: &mut Context<'_, ()>, _inbox: &[Envelope<()>]) {
-                self.last = ctx.port_silence().to_vec();
+            fn round(&mut self, ctx: &mut Context<'_, ()>, inbox: &[Envelope<()>]) {
+                for port in ctx.ports() {
+                    let heard = inbox.iter().any(|e| Some(e.edge) == port.edge_id);
+                    self.silence[port.port] = if heard {
+                        0
+                    } else {
+                        self.silence[port.port] + 1
+                    };
+                }
                 if ctx.round() < 4 {
                     ctx.broadcast(());
                 } else {
@@ -2774,56 +2565,52 @@ mod tests {
         let plan = FaultPlan::new(0).with_crash(NodeId::new(2), 0);
         let mut network =
             Network::with_fault_plan(&graph, NetworkConfig::default(), plan, |_, _| {
-                SilenceWatcher { last: Vec::new() }
+                SilenceWatcher {
+                    silence: Vec::new(),
+                }
             })
             .unwrap();
         network.run_until_halt(5).unwrap();
         // Node 1's ports: port 0 towards node 0 (chatty), port 1 towards the
-        // crashed node 2 — silent since round 1, so by round 4 its counter
-        // has aged 4 times without ever resetting.
-        assert_eq!(network.programs()[1].last, vec![0, 4]);
+        // crashed node 2, silent since round 1, so by round 4 its count has
+        // grown 4 times without ever resetting.
+        assert_eq!(network.programs()[1].silence, vec![0, 4]);
         // Node 0 has two live neighbors: all-zero silence.
-        assert_eq!(network.programs()[0].last, vec![0, 0]);
-        // Without a fault plan the instrumentation is off entirely.
-        let mut clean = Network::new(&graph, NetworkConfig::default(), |_, _| SilenceWatcher {
-            last: Vec::new(),
-        })
-        .unwrap();
-        clean.run_until_halt(5).unwrap();
-        assert!(clean.programs()[1].last.is_empty());
+        assert_eq!(network.programs()[0].silence, vec![0, 0]);
     }
 
     #[test]
-    fn forged_port_silence_row_is_rejected() {
+    fn a_checkpoint_restored_under_another_fault_plan_is_rejected() {
         let graph = cycle(6);
-        let plan = || FaultPlan::new(0).with_crash(NodeId::new(3), 0);
+        let plan = FaultPlan::new(0).with_crash(NodeId::new(3), 0);
         let mut network =
-            Network::with_fault_plan(&graph, NetworkConfig::default(), plan(), |node, _| {
+            Network::with_fault_plan(&graph, NetworkConfig::default(), plan, |node, _| {
                 Flood::new(node)
             })
             .unwrap();
         network.run_rounds(2).unwrap();
-        let restore = |checkpoint: &NetworkCheckpoint| {
-            Network::restore_with_plans(
+        let checkpoint = network.checkpoint();
+        // No plan, and a plan crashing another node: the digest tells both.
+        for other in [
+            FaultPlan::none(),
+            FaultPlan::new(0).with_crash(NodeId::new(4), 0),
+        ] {
+            let restored = Network::restore_with_plans(
                 &graph,
-                plan(),
+                other,
                 ChurnPlan::none(),
                 InProcessTransport::new(),
-                checkpoint,
+                &checkpoint,
                 |node, _| Flood::new(node),
-            )
-        };
-        let mut checkpoint = network.checkpoint();
-        assert!(restore(&checkpoint).is_ok());
-        // Node 1 has two ports, so its row must hold two counters.
-        checkpoint.port_silence.as_mut().unwrap()[1].clear();
-        let Err(err) = restore(&checkpoint) else {
-            panic!("a checkpoint with a forged port-silence row restored");
-        };
-        assert!(
-            matches!(&err, RuntimeError::Checkpoint { reason } if reason.contains("port_silence[1]")),
-            "{err}"
-        );
+            );
+            let Err(err) = restored else {
+                panic!("a checkpoint restored under another fault plan");
+            };
+            assert!(
+                matches!(&err, RuntimeError::Checkpoint { reason } if reason.contains("fault plan")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -2838,8 +2625,7 @@ mod tests {
         network.run_rounds(2).unwrap();
         let mut checkpoint = network.checkpoint();
         // Node 1 holds the token node 2 forwarded; a copy of it claims an
-        // edge far beyond the cycle's six, which the next faulty round's
-        // silence update would index out of bounds.
+        // edge far beyond the cycle's six.
         let mut forged = checkpoint.pending[1][0].clone();
         forged.edge = 1_000_000;
         checkpoint.pending[1].push(forged);
@@ -2910,49 +2696,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_renumbering_restarts_silence_counters() {
-        /// Broadcasts every round and snapshots its port-silence counters in
-        /// round 3.
-        struct Watcher {
-            round_3: Vec<u32>,
-        }
-        impl NodeProgram for Watcher {
-            type Message = ();
-            fn init(&mut self, ctx: &mut Context<'_, ()>) {
-                ctx.broadcast(());
-            }
-            fn round(&mut self, ctx: &mut Context<'_, ()>, _inbox: &[Envelope<()>]) {
-                if ctx.round() == 3 {
-                    self.round_3 = ctx.port_silence().to_vec();
-                }
-                ctx.broadcast(());
-            }
-        }
-        // Node 1's port 1 faces the crashed node 2, so its counter reads 3
-        // by round 3. Churn then deletes that edge (`e1`) and gives node 1
-        // a new edge to node 3: the degree stays 2, but port 1 is a new
-        // link whose counter must start from zero.
-        let graph = cycle(4);
-        let faults = FaultPlan::new(0).with_crash(NodeId::new(2), 0);
-        let churn = ChurnPlan::new(0)
-            .with_edge_delete(3, EdgeId::new(1))
-            .with_edge_insert(3, NodeId::new(1), NodeId::new(3));
-        let mut network = Network::with_plans(
-            &graph,
-            NetworkConfig::default(),
-            faults,
-            churn,
-            InProcessTransport::new(),
-            |_, _| Watcher {
-                round_3: Vec::new(),
-            },
-        )
-        .unwrap();
-        network.run_rounds(3).unwrap();
-        assert_eq!(network.programs()[1].round_3, vec![0, 0]);
-    }
-
-    #[test]
     fn churn_leaves_knowledge_ports_and_degree_at_round_0() {
         /// What a node reads of its own adjacency: degree, edge IDs,
         /// neighbor IDs, and `(port, edge, neighbor)` per port.
@@ -2999,10 +2742,26 @@ mod tests {
         // Node 1's round-0 ports on cycle(4) are e0 (to node 0) and e1 (to
         // node 2). At the top of round 1, churn deletes e0 and inserts
         // e4 = 1–3.
+        use crate::churn::{ChurnEventSpec, ScheduledChurn};
         let graph = cycle(4);
-        let churn = ChurnPlan::new(0)
-            .with_edge_delete(1, EdgeId::new(0))
-            .with_edge_insert(1, NodeId::new(1), NodeId::new(3));
+        let churn = ChurnPlan {
+            scheduled: vec![
+                ScheduledChurn {
+                    round: 1,
+                    event: ChurnEventSpec::DeleteEdge {
+                        edge: EdgeId::new(0),
+                    },
+                },
+                ScheduledChurn {
+                    round: 1,
+                    event: ChurnEventSpec::InsertEdge {
+                        u: NodeId::new(1),
+                        v: NodeId::new(3),
+                    },
+                },
+            ],
+            ..ChurnPlan::new(0)
+        };
         let mut network = Network::with_plans(
             &graph,
             NetworkConfig::default().knowledge(KnowledgeModel::Kt1),
@@ -3014,7 +2773,7 @@ mod tests {
         .unwrap();
         network.run_rounds(1).unwrap();
         assert_eq!(
-            network.last_churn_events(),
+            network.churn_events,
             &[
                 ChurnEvent::EdgeDelete {
                     edge: EdgeId::new(0)
@@ -3033,7 +2792,7 @@ mod tests {
             Some(vec![n(0), n(2)]),
             vec![(0, Some(e(0)), Some(n(0))), (1, Some(e(1)), Some(n(2)))],
         );
-        let probe = network.program(NodeId::new(1));
+        let probe = &network.programs()[1];
         assert_eq!(probe.views, vec![round_0.clone(), round_0]);
         // The broadcast went out over the live edges e1 and e4, not e0.
         assert_eq!(probe.broadcast, 2);

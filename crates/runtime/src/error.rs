@@ -96,14 +96,14 @@ impl RuntimeError {
     }
 
     /// Convenience constructor for [`RuntimeError::Transport`].
-    pub fn transport(reason: impl Into<String>) -> Self {
+    pub(crate) fn transport(reason: impl Into<String>) -> Self {
         RuntimeError::Transport {
             reason: reason.into(),
         }
     }
 
     /// Convenience constructor for [`RuntimeError::Checkpoint`].
-    pub fn checkpoint(reason: impl Into<String>) -> Self {
+    pub(crate) fn checkpoint(reason: impl Into<String>) -> Self {
         RuntimeError::Checkpoint {
             reason: reason.into(),
         }

@@ -16,7 +16,7 @@
 //!
 //! The keying discipline is also what makes the fault plane
 //! **checkpoint-restorable** for free: a [`NetworkCheckpoint`] stores no
-//! fault state beyond a plan digest and the per-port silence counters —
+//! fault state beyond a plan digest and the ledger's fault totals —
 //! restore re-supplies the plan and simply resumes drawing from the streams
 //! at the checkpoint round, since every outcome is keyed by absolute round,
 //! not by how many draws preceded it (`docs/RECOVERY.md`;
@@ -47,9 +47,9 @@
 //! column — see `docs/METRICS.md` §6 for the exact convention (delivered
 //! traffic is metered as usual; drops never reach the per-edge counters).
 //!
-//! The engine's round barrier is the only place a plan acts: the emulated
-//! round loops elsewhere in the workspace (`freelunch-core`'s reduction
-//! floods, the flooding and gossip baselines) are failure-free.
+//! The engine is the only place a plan acts: each node's sends meet their
+//! fates in the execute phase, right after the node's step, and the
+//! perturbation reorders the inboxes after delivery.
 //!
 //! # Examples
 //!
@@ -215,7 +215,7 @@ impl FaultPlan {
     /// Returns `true` if the plan can make messages disappear or multiply
     /// (drops, duplicates, cuts or crashes — everything except pure
     /// delivery perturbation).
-    pub fn affects_messages(&self) -> bool {
+    pub(crate) fn affects_messages(&self) -> bool {
         self.drop_probability > 0.0
             || self.duplicate_probability > 0.0
             || !self.link_cuts.is_empty()
@@ -227,7 +227,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a description of the violated requirement.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("drop_probability", self.drop_probability),
             ("duplicate_probability", self.duplicate_probability),
@@ -276,7 +276,7 @@ impl FaultPlan {
     /// mailbox (Fisher–Yates over a ChaCha stream keyed independently of the
     /// drop/duplicate stream). No-op unless
     /// [`FaultPlan::perturb_delivery`] is set.
-    pub fn perturb_mailbox<T>(&self, round: u32, receiver: NodeId, mailbox: &mut [T]) {
+    pub(crate) fn perturb_mailbox<T>(&self, round: u32, receiver: NodeId, mailbox: &mut [T]) {
         if !self.perturb_delivery || mailbox.len() < 2 {
             return;
         }

@@ -10,9 +10,9 @@
 //! Fault injection ([`crate::fault`]) deliberately does **not** extend
 //! initial knowledge: a node is never told which neighbors will crash or
 //! which links will be cut. Crash state is observable only the way the
-//! fault-tolerance literature allows — through silence, surfaced per port by
-//! [`Context::port_silence`](crate::node::Context::port_silence) — and
-//! post-hoc through the [`Network`](crate::engine::Network) node APIs
+//! fault-tolerance literature allows — through silence, which a program
+//! reads off its own inbox as messages that do not arrive — and post-hoc
+//! through the [`Network`](crate::engine::Network) node APIs
 //! (`is_crashed`, `crashed_nodes`), which exist for harnesses and invariant
 //! checkers rather than for the programs themselves.
 
@@ -37,12 +37,12 @@ pub enum KnowledgeModel {
 
 impl KnowledgeModel {
     /// Returns `true` if nodes see globally unique edge identifiers.
-    pub fn exposes_edge_ids(self) -> bool {
+    pub(crate) fn exposes_edge_ids(self) -> bool {
         matches!(self, KnowledgeModel::UniqueEdgeIds | KnowledgeModel::Kt1)
     }
 
     /// Returns `true` if nodes see the IDs of their neighbors.
-    pub fn exposes_neighbor_ids(self) -> bool {
+    pub(crate) fn exposes_neighbor_ids(self) -> bool {
         matches!(self, KnowledgeModel::Kt1)
     }
 }

@@ -114,6 +114,6 @@ pub use metrics::{
 pub use node::{Context, Envelope, NodeProgram, Outgoing};
 pub use trace::{Trace, TraceEvent, TraceMode};
 pub use transport::{
-    BarrierOutcome, CodecError, Disturbance, FrameRecord, InProcessTransport, MockTransport,
-    RecoveryPolicy, RejoinHello, RoundBarrier, TcpConfig, TcpTransport, Transport, WireCodec,
+    BarrierOutcome, CodecError, InProcessTransport, MockTransport, RecoveryPolicy, RejoinHello,
+    RoundBarrier, TcpConfig, TcpTransport, Transport, WireCodec,
 };

@@ -37,18 +37,10 @@ impl CostReport {
     }
 
     /// Sequential composition: rounds add, messages add.
-    pub fn then(self, later: CostReport) -> CostReport {
+    pub(crate) fn then(self, later: CostReport) -> CostReport {
         CostReport {
             rounds: self.rounds + later.rounds,
             messages: self.messages + later.messages,
-        }
-    }
-
-    /// Parallel composition: rounds take the maximum, messages add.
-    pub fn alongside(self, other: CostReport) -> CostReport {
-        CostReport {
-            rounds: self.rounds.max(other.rounds),
-            messages: self.messages + other.messages,
         }
     }
 
@@ -89,22 +81,17 @@ pub struct ExecutionMetrics {
 
 impl ExecutionMetrics {
     /// Creates empty metrics for a network of `node_count` nodes.
-    pub fn new(node_count: usize) -> Self {
+    pub(crate) fn new(node_count: usize) -> Self {
         ExecutionMetrics {
             messages_per_round: vec![0],
             messages_per_node: vec![0; node_count],
         }
     }
 
-    /// Records that `node` sent one message during the current round slot.
-    pub fn record_send(&mut self, node_index: usize) {
-        self.record_sends(node_index, 1);
-    }
-
     /// Records that `node` sent `count` messages during the current round
     /// slot — the bulk form the engine uses at the round barrier, with the
     /// node's send count from the execute phase.
-    pub fn record_sends(&mut self, node_index: usize, count: u64) {
+    pub(crate) fn record_sends(&mut self, node_index: usize, count: u64) {
         *self
             .messages_per_round
             .last_mut()
@@ -113,7 +100,7 @@ impl ExecutionMetrics {
     }
 
     /// Opens a new round slot.
-    pub fn start_round(&mut self) {
+    pub(crate) fn start_round(&mut self) {
         self.messages_per_round.push(0);
     }
 
@@ -128,13 +115,8 @@ impl ExecutionMetrics {
         self.messages_per_round.iter().sum()
     }
 
-    /// The busiest node's message count.
-    pub fn max_node_messages(&self) -> u64 {
-        self.messages_per_node.iter().copied().max().unwrap_or(0)
-    }
-
     /// Collapses the detailed metrics into a [`CostReport`].
-    pub fn summary(&self) -> CostReport {
+    pub(crate) fn summary(&self) -> CostReport {
         CostReport {
             rounds: self.rounds(),
             messages: self.total_messages(),
@@ -442,7 +424,7 @@ impl MessageLedger {
     /// Panics if `edge_index` is outside the `edge_slots` the ledger was
     /// created with.
     #[inline]
-    pub fn record_bulk(&mut self, edge_index: usize, count: u64, payload_bytes: u64) {
+    pub(crate) fn record_bulk(&mut self, edge_index: usize, count: u64, payload_bytes: u64) {
         if count == 0 {
             return;
         }
@@ -475,7 +457,7 @@ impl MessageLedger {
     /// new slots with zeros. Used by the engine when a churn plan inserts an
     /// edge whose ID lies beyond the frozen topology's slot range; shrinking
     /// never happens (deleted edges keep their historical counters).
-    pub fn ensure_edge_slots(&mut self, edge_slots: usize) {
+    pub(crate) fn ensure_edge_slots(&mut self, edge_slots: usize) {
         if edge_slots > self.messages_per_edge.len() {
             self.messages_per_edge.resize(edge_slots, 0);
             self.bytes_per_edge.resize(edge_slots, 0);
@@ -519,13 +501,13 @@ impl MessageLedger {
     }
 
     /// Fault column: messages dropped by fault injection in each round slot.
-    pub fn dropped_per_round(&self) -> &[u64] {
+    pub(crate) fn dropped_per_round(&self) -> &[u64] {
         &self.dropped_per_round
     }
 
     /// Fault column: messages duplicated by fault injection in each round
     /// slot.
-    pub fn duplicated_per_round(&self) -> &[u64] {
+    pub(crate) fn duplicated_per_round(&self) -> &[u64] {
         &self.duplicated_per_round
     }
 
@@ -599,7 +581,7 @@ impl MessageLedger {
 
     /// The edge carrying the most messages over the whole execution, as
     /// `(edge_index, message_count)`; `None` if nothing was recorded.
-    pub fn busiest_edge(&self) -> Option<(usize, u64)> {
+    pub(crate) fn busiest_edge(&self) -> Option<(usize, u64)> {
         self.messages_per_edge
             .iter()
             .copied()
@@ -747,7 +729,6 @@ mod tests {
         let a = CostReport::new(3, 10);
         let b = CostReport::new(5, 7);
         assert_eq!(a.then(b), CostReport::new(8, 17));
-        assert_eq!(a.alongside(b), CostReport::new(5, 17));
         assert_eq!(a + b, CostReport::new(8, 17));
         let mut c = CostReport::zero();
         c += a;
@@ -765,19 +746,17 @@ mod tests {
     fn execution_metrics_accumulate() {
         let mut metrics = ExecutionMetrics::new(3);
         // Initialization sends 2 messages from node 0.
-        metrics.record_send(0);
-        metrics.record_send(0);
+        metrics.record_sends(0, 2);
         metrics.start_round();
-        metrics.record_send(1);
+        metrics.record_sends(1, 1);
         metrics.start_round();
-        metrics.record_send(2);
-        metrics.record_send(1);
+        metrics.record_sends(2, 1);
+        metrics.record_sends(1, 1);
 
         assert_eq!(metrics.rounds(), 2);
         assert_eq!(metrics.total_messages(), 5);
         assert_eq!(metrics.messages_per_round, vec![2, 1, 2]);
         assert_eq!(metrics.messages_per_node, vec![2, 2, 1]);
-        assert_eq!(metrics.max_node_messages(), 2);
         assert_eq!(metrics.summary(), CostReport::new(2, 5));
     }
 
@@ -786,7 +765,7 @@ mod tests {
         let metrics = ExecutionMetrics::new(0);
         assert_eq!(metrics.rounds(), 0);
         assert_eq!(metrics.total_messages(), 0);
-        assert_eq!(metrics.max_node_messages(), 0);
+        assert!(metrics.messages_per_node.is_empty());
         assert_eq!(metrics.summary(), CostReport::zero());
     }
 

@@ -84,10 +84,6 @@ pub struct Context<'a, M> {
     /// The stepping worker's scratch outbox, empty when the step starts and
     /// reused across rounds (in steady state no send allocates).
     pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
-    /// Per-port consecutive-silent-round counters, maintained by the engine
-    /// only under an installed fault plan (empty otherwise) — see
-    /// [`Context::port_silence`].
-    pub(crate) silence: &'a [u32],
     pub(crate) halted: bool,
     /// First invalid send of this step, surfaced at the round barrier.
     pub(crate) error: Option<RuntimeError>,
@@ -101,7 +97,6 @@ impl<'a, M> Context<'a, M> {
         round: u32,
         rng: &'a mut ChaCha8Rng,
         outbox: &'a mut Vec<Outgoing<M>>,
-        silence: &'a [u32],
     ) -> Self {
         Context {
             knowledge,
@@ -110,7 +105,6 @@ impl<'a, M> Context<'a, M> {
             round,
             rng,
             outbox,
-            silence,
             halted: false,
             error: None,
         }
@@ -223,33 +217,10 @@ impl<'a, M> Context<'a, M> {
         }
     }
 
-    /// Per-port silence counters under fault injection: entry `p` is the
-    /// number of consecutive rounds (including the current one) in which no
-    /// message arrived over port `p`. This is how a program *observes* a
-    /// silent neighbor — a crashed neighbor, or one whose link was cut,
-    /// shows up as a monotonically growing counter, and the program can
-    /// react (re-route, give up on the neighbor, …) without any information
-    /// the LOCAL model would not grant it.
-    ///
-    /// The engine maintains the counters only when the network was built
-    /// with a non-empty [`FaultPlan`](crate::fault::FaultPlan)
-    /// ([`Network::with_fault_plan`](crate::engine::Network::with_fault_plan));
-    /// on the failure-free fast path this returns an empty slice, so
-    /// programs should treat "empty" as "no fault instrumentation" rather
-    /// than "no silence".
-    pub fn port_silence(&self) -> &[u32] {
-        self.silence
-    }
-
     /// Marks this node as halted. A halted node still receives messages but
     /// the runtime's `run_until_halt` stops once every node has halted.
     pub fn halt(&mut self) {
         self.halted = true;
-    }
-
-    /// Number of messages queued so far in this round.
-    pub fn queued_messages(&self) -> usize {
-        self.outbox.len()
     }
 }
 
@@ -394,45 +365,14 @@ mod tests {
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox = Vec::new();
-        let ctx: Context<'_, u32> = Context::new(
-            knowledge[0],
-            &ports,
-            &endpoints,
-            3,
-            &mut rng,
-            &mut outbox,
-            &[],
-        );
+        let ctx: Context<'_, u32> =
+            Context::new(knowledge[0], &ports, &endpoints, 3, &mut rng, &mut outbox);
         assert_eq!(ctx.node(), NodeId::new(0));
         assert_eq!(ctx.degree(), 2);
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.ports().len(), 2);
         assert!(ctx.log_n_upper_bound() >= 2);
-        assert_eq!(ctx.queued_messages(), 0);
-        // No fault plan installed: silence instrumentation is off.
-        assert!(ctx.port_silence().is_empty());
-    }
-
-    #[test]
-    fn port_silence_is_exposed_when_instrumented() {
-        let graph = sample_graph();
-        let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
-        let ports = ports_of(0);
-        let endpoints = endpoints_table();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut outbox: Vec<Outgoing<u8>> = Vec::new();
-        let silence = [0u32, 4];
-        let ctx = Context::new(
-            knowledge[0],
-            &ports,
-            &endpoints,
-            1,
-            &mut rng,
-            &mut outbox,
-            &silence,
-        );
-        // Port 1's neighbor has been silent for 4 rounds.
-        assert_eq!(ctx.port_silence(), &[0, 4]);
+        assert_eq!(ctx.outbox.len(), 0);
     }
 
     #[test]
@@ -443,20 +383,13 @@ mod tests {
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox = Vec::new();
-        let mut ctx: Context<'_, &'static str> = Context::new(
-            knowledge[0],
-            &ports,
-            &endpoints,
-            1,
-            &mut rng,
-            &mut outbox,
-            &[],
-        );
+        let mut ctx: Context<'_, &'static str> =
+            Context::new(knowledge[0], &ports, &endpoints, 1, &mut rng, &mut outbox);
         ctx.send(EdgeId::new(0), "hello");
-        assert_eq!(ctx.queued_messages(), 1);
+        assert_eq!(ctx.outbox.len(), 1);
         let sent = ctx.broadcast("all");
         assert_eq!(sent, 2);
-        assert_eq!(ctx.queued_messages(), 3);
+        assert_eq!(ctx.outbox.len(), 3);
         assert!(ctx.error.is_none());
         // Every queued message already knows its receiver.
         assert_eq!(outbox[0].receiver, NodeId::new(1));
@@ -473,15 +406,7 @@ mod tests {
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<u8>> = Vec::new();
-        let mut ctx = Context::new(
-            knowledge[1],
-            &ports,
-            &endpoints,
-            1,
-            &mut rng,
-            &mut outbox,
-            &[],
-        );
+        let mut ctx = Context::new(knowledge[1], &ports, &endpoints, 1, &mut rng, &mut outbox);
         // Edge 1 connects 0 and 2: not incident to node 1.
         ctx.send(EdgeId::new(1), 9);
         assert_eq!(
@@ -495,7 +420,7 @@ mod tests {
         // neither send queues a message.
         ctx.send(EdgeId::new(99), 9);
         assert!(matches!(ctx.error, Some(RuntimeError::NotIncident { .. })));
-        assert_eq!(ctx.queued_messages(), 0);
+        assert_eq!(ctx.outbox.len(), 0);
     }
 
     #[test]
@@ -506,15 +431,7 @@ mod tests {
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<u8>> = Vec::new();
-        let mut ctx = Context::new(
-            knowledge[0],
-            &ports,
-            &endpoints,
-            1,
-            &mut rng,
-            &mut outbox,
-            &[],
-        );
+        let mut ctx = Context::new(knowledge[0], &ports, &endpoints, 1, &mut rng, &mut outbox);
         ctx.send(EdgeId::new(999), 1);
         assert_eq!(
             ctx.error,
@@ -537,18 +454,11 @@ mod tests {
             let endpoints = endpoints_table();
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let mut outbox = Vec::new();
-            let mut ctx: Context<'_, u8> = Context::new(
-                knowledge[0],
-                &ports,
-                &endpoints,
-                1,
-                &mut rng,
-                &mut outbox,
-                &[],
-            );
+            let mut ctx: Context<'_, u8> =
+                Context::new(knowledge[0], &ports, &endpoints, 1, &mut rng, &mut outbox);
             assert!(ctx.send_port(1, 5));
             assert!(!ctx.send_port(99, 5));
-            assert_eq!(ctx.queued_messages(), 1);
+            assert_eq!(ctx.outbox.len(), 1);
         }
     }
 
@@ -560,15 +470,7 @@ mod tests {
         let endpoints = endpoints_table();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<()>> = Vec::new();
-        let mut ctx = Context::new(
-            knowledge[1],
-            &ports,
-            &endpoints,
-            1,
-            &mut rng,
-            &mut outbox,
-            &[],
-        );
+        let mut ctx = Context::new(knowledge[1], &ports, &endpoints, 1, &mut rng, &mut outbox);
         assert!(!ctx.halted);
         ctx.halt();
         assert!(ctx.halted);
@@ -592,7 +494,6 @@ mod tests {
             1,
             &mut rng_a,
             &mut outbox_a,
-            &[],
         );
         let a: u64 = ctx_a.rng().gen();
         let mut ctx_b = Context::new(
@@ -602,7 +503,6 @@ mod tests {
             1,
             &mut rng_b,
             &mut outbox_b,
-            &[],
         );
         let b: u64 = ctx_b.rng().gen();
         assert_eq!(a, b);

@@ -56,7 +56,7 @@ pub struct Trace {
 impl Trace {
     /// Creates a trace that stores at most `capacity` events (0 disables
     /// storage entirely while still counting).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Trace {
             events: Vec::new(),
             capacity,
@@ -80,12 +80,12 @@ impl Trace {
     }
 
     /// The event-storage capacity the trace was created with.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Records an event, storing it if capacity allows.
-    pub fn record(&mut self, event: TraceEvent) {
+    pub(crate) fn record(&mut self, event: TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(event);
         } else {
@@ -94,12 +94,12 @@ impl Trace {
     }
 
     /// The stored events, in delivery order.
-    pub fn events(&self) -> &[TraceEvent] {
+    pub(crate) fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
     /// Number of events that exceeded the capacity and were dropped.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 

@@ -54,6 +54,12 @@ pub enum CodecError {
         /// Required element granularity.
         multiple_of: usize,
     },
+    /// A well-formed field holds a value the decoding side cannot accept
+    /// (say, program state that contradicts the program it is loaded into).
+    InvalidValue {
+        /// The offending field.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -76,6 +82,7 @@ impl fmt::Display for CodecError {
                     "{got} bytes is not a multiple of the {multiple_of}-byte element size"
                 )
             }
+            CodecError::InvalidValue { field } => write!(f, "invalid value of {field}"),
         }
     }
 }

@@ -3,24 +3,16 @@
 //!
 //! The mock delivers serially in canonical order like the in-process
 //! backend, but every payload makes a round trip through its [`WireCodec`]
-//! — so with no disturbances installed, a mock execution is bit-identical
-//! to an in-process one **if and only if** the codec obeys its laws, which
-//! is exactly what the cross-backend tests exploit. On top of that it can
-//! record every frame it carries and inject deterministic wire-level
-//! disturbances (drop, delay, corrupt) for transport-robustness tests.
-//!
-//! Wire disturbances live *below* the ledger: a dropped or delayed frame
-//! was still sent (and is still counted as sent); only its delivery is
-//! affected. This is deliberately different from the
-//! [`FaultPlan`](crate::fault::FaultPlan) message faults, which model
-//! protocol-level adversity and are resolved (and accounted) before any
-//! transport sees the messages — `tests/fault_matrix.rs` proves the fault
-//! plane is transport-independent by running the same plans over this
-//! backend.
+//! — so a mock execution is bit-identical to an in-process one **if and
+//! only if** the codec obeys its laws, which is exactly what the
+//! cross-backend tests exploit. The [`FaultPlan`](crate::fault::FaultPlan)
+//! message faults are resolved (and accounted) before any transport sees
+//! the messages; `tests/fault_matrix.rs` proves the fault plane is
+//! transport-independent by running the same plans over this backend.
 //!
 //! Like every backend, the mock charges the ledger only when a barrier
 //! succeeds: a barrier that fails (a codec/`payload_bytes` mismatch, a frame
-//! that no longer decodes) charges none of its sends.
+//! that does not decode) charges none of its sends.
 
 use super::codec::WireCodec;
 use super::{BarrierOutcome, RoundBarrier, Transport};
@@ -28,75 +20,10 @@ use crate::error::{RuntimeError, RuntimeResult};
 use crate::metrics::EdgeTally;
 use crate::node::Envelope;
 use crate::trace::TraceEvent;
-use freelunch_graph::{EdgeId, NodeId};
-
-/// One frame the mock carried: the resolved routing header plus the
-/// encoded payload exactly as a wire transport would ship it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameRecord {
-    /// Round the frame was sent in (0 = initialization).
-    pub round: u32,
-    /// Edge the message travelled over.
-    pub edge: EdgeId,
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// The encoded payload bytes.
-    pub payload: Vec<u8>,
-}
-
-/// A deterministic wire-level disturbance rule, applied to the mock's
-/// frame sequence (frames are numbered 1, 2, 3, … in canonical send order
-/// across the whole execution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Disturbance {
-    /// Silently lose every `nth` frame (the sender still counts it as
-    /// sent; the receiver never sees it).
-    DropEveryNth {
-        /// Period of the loss (1 = every frame).
-        nth: u64,
-    },
-    /// Hold every `nth` frame back and deliver it `rounds` barriers later
-    /// (appended before that round's fresh traffic, in original order).
-    DelayEveryNth {
-        /// Period of the delay.
-        nth: u64,
-        /// Barriers to hold the frame for (≥ 1).
-        rounds: u32,
-    },
-    /// Flip the lowest bit of the first payload byte of every `nth` frame.
-    /// Depending on the codec this surfaces as a decode error (failing the
-    /// barrier with [`RuntimeError::Transport`]) or as a silently altered
-    /// message — both are realities of a corrupted wire.
-    CorruptEveryNth {
-        /// Period of the corruption.
-        nth: u64,
-    },
-}
-
-/// A delayed frame waiting for its due barrier.
-#[derive(Debug)]
-struct DelayedFrame {
-    due_round: u32,
-    edge: EdgeId,
-    from: NodeId,
-    to: NodeId,
-    payload: Vec<u8>,
-}
 
 /// The loopback mock backend (see the module docs above).
 #[derive(Debug, Default)]
 pub struct MockTransport {
-    disturbance: Option<Disturbance>,
-    recording: bool,
-    frames: Vec<FrameRecord>,
-    delayed: Vec<DelayedFrame>,
-    /// 1-based frame sequence counter driving the disturbance rules.
-    sequence: u64,
-    frames_dropped: u64,
-    frames_delayed: u64,
-    frames_corrupted: u64,
     scratch: Vec<u8>,
     /// This barrier's sends per edge, charged to the ledger only once the
     /// barrier has succeeded.
@@ -104,49 +31,9 @@ pub struct MockTransport {
 }
 
 impl MockTransport {
-    /// A neutral mock: encodes and decodes every payload, disturbs
-    /// nothing, records nothing.
+    /// A mock that encodes and decodes every payload.
     pub fn new() -> Self {
         MockTransport::default()
-    }
-
-    /// Returns a copy of the builder with frame recording enabled: every
-    /// carried frame is kept and exposed via [`MockTransport::frames`].
-    pub fn recording(mut self) -> Self {
-        self.recording = true;
-        self
-    }
-
-    /// Returns a copy of the builder with the given disturbance installed.
-    pub fn with_disturbance(mut self, disturbance: Disturbance) -> Self {
-        self.disturbance = Some(disturbance);
-        self
-    }
-
-    /// The recorded frames, in canonical send order (empty unless built
-    /// with [`MockTransport::recording`]).
-    pub fn frames(&self) -> &[FrameRecord] {
-        &self.frames
-    }
-
-    /// Frames lost to [`Disturbance::DropEveryNth`] so far.
-    pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped
-    }
-
-    /// Frames held back by [`Disturbance::DelayEveryNth`] so far.
-    pub fn frames_delayed(&self) -> u64 {
-        self.frames_delayed
-    }
-
-    /// Frames altered by [`Disturbance::CorruptEveryNth`] so far.
-    pub fn frames_corrupted(&self) -> u64 {
-        self.frames_corrupted
-    }
-
-    /// Total frames the mock has carried (including disturbed ones).
-    pub fn frames_carried(&self) -> u64 {
-        self.sequence
     }
 }
 
@@ -187,28 +74,6 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
         // than charge it to this round.
         self.tally.discard();
         self.tally.fit(ledger.edge_slots());
-        // Release frames whose delay expired, before this round's fresh
-        // traffic, in original send order. Their ledger/trace entries were
-        // made when they were sent.
-        let mut index = 0;
-        while index < self.delayed.len() {
-            if self.delayed[index].due_round <= round {
-                let frame = self.delayed.remove(index);
-                let payload = M::decode(&frame.payload).map_err(|e| {
-                    RuntimeError::transport(format!(
-                        "mock: delayed frame on edge {} failed to decode: {e}",
-                        frame.edge
-                    ))
-                })?;
-                mailboxes[frame.to.index()].push(Envelope {
-                    edge: frame.edge,
-                    from: frame.from,
-                    payload,
-                });
-            } else {
-                index += 1;
-            }
-        }
         // The mock states one grid column: its buckets, in row order, are
         // the canonical send order.
         for bucket in grid.iter_mut() {
@@ -234,46 +99,6 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
                         edge: outgoing.edge,
                     });
                 }
-                self.sequence += 1;
-                if self.recording {
-                    self.frames.push(FrameRecord {
-                        round,
-                        edge: outgoing.edge,
-                        from: outgoing.sender,
-                        to: outgoing.receiver,
-                        payload: self.scratch.clone(),
-                    });
-                }
-                match self.disturbance {
-                    Some(Disturbance::DropEveryNth { nth })
-                        if self.sequence.is_multiple_of(nth) =>
-                    {
-                        self.frames_dropped += 1;
-                        continue;
-                    }
-                    Some(Disturbance::DelayEveryNth { nth, rounds })
-                        if self.sequence.is_multiple_of(nth) =>
-                    {
-                        self.frames_delayed += 1;
-                        self.delayed.push(DelayedFrame {
-                            due_round: round + rounds.max(1),
-                            edge: outgoing.edge,
-                            from: outgoing.sender,
-                            to: outgoing.receiver,
-                            payload: self.scratch.clone(),
-                        });
-                        continue;
-                    }
-                    Some(Disturbance::CorruptEveryNth { nth })
-                        if self.sequence.is_multiple_of(nth) =>
-                    {
-                        self.frames_corrupted += 1;
-                        if let Some(byte) = self.scratch.first_mut() {
-                            *byte ^= 1;
-                        }
-                    }
-                    _ => {}
-                }
                 let payload = M::decode(&self.scratch).map_err(|e| {
                     RuntimeError::transport(format!(
                         "mock: frame on edge {} failed to decode: {e}",
@@ -298,9 +123,10 @@ mod tests {
     use crate::metrics::{ExecutionMetrics, MessageLedger};
     use crate::node::Outgoing;
     use crate::transport::codec::CodecError;
+    use freelunch_graph::{EdgeId, NodeId};
 
-    /// A one-byte payload whose codec rejects odd bytes, so a corrupted
-    /// frame (lowest bit flipped) fails to decode.
+    /// A one-byte payload whose codec rejects odd bytes, so an odd payload
+    /// encodes to a frame that fails to decode.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Even(u8);
 
@@ -370,17 +196,18 @@ mod tests {
         assert_eq!(ledger.messages_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);
     }
 
-    /// A barrier that fails because a corrupted frame no longer decodes
-    /// charges nothing either, the corrupted send included.
+    /// A barrier that fails because a frame does not decode charges
+    /// nothing either, the frame that decoded before it included.
     #[test]
     fn a_barrier_that_fails_to_decode_charges_nothing() {
-        let mut mock =
-            MockTransport::new().with_disturbance(Disturbance::CorruptEveryNth { nth: 2 });
+        let mut mock = MockTransport::new();
         let mut ledger = MessageLedger::new(8);
-        let failed = vec![outgoing(1, 1, 1, Even(2)), outgoing(2, 2, 1, Even(4))];
+        let failed = vec![outgoing(1, 1, 1, Even(2)), outgoing(2, 2, 1, Even(3))];
         let error = barrier(&mut mock, failed, &mut ledger).unwrap_err();
-        assert!(error.to_string().contains("failed to decode"));
-        assert_eq!(mock.frames_corrupted(), 1);
+        assert!(
+            error.to_string().contains("edge e2 failed to decode"),
+            "{error}"
+        );
         assert_eq!(ledger.total_messages(), 0);
         barrier(&mut mock, vec![outgoing(3, 3, 1, Even(6))], &mut ledger).unwrap();
         assert_eq!(ledger.messages_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);

@@ -17,8 +17,8 @@
 //!   barrier exchanges one length-prefixed binary frame per peer per round.
 //!   Requires the message type to implement [`WireCodec`].
 //! * [`MockTransport`] — a loopback test backend that pushes every payload
-//!   through its wire encoding and can record, delay, drop or corrupt
-//!   frames, for transport-level tests that stay in one process.
+//!   through its wire encoding, for transport-level tests that stay in one
+//!   process.
 //!
 //! The contract every backend must uphold — canonical mailbox order,
 //! sender-side ledger accounting, the codec/`payload_bytes` equivalence —
@@ -34,7 +34,7 @@ mod tcp;
 
 pub use codec::{check_size_and_padding, pad_to_size, CodecError, WireCodec};
 pub use in_process::InProcessTransport;
-pub use mock::{Disturbance, FrameRecord, MockTransport};
+pub use mock::MockTransport;
 pub use tcp::{RejoinHello, TcpConfig, TcpTransport};
 
 use crate::churn::ChurnEvent;
@@ -63,8 +63,8 @@ use std::ops::Range;
 /// * charge every locally sent message to `ledger` (sender-side: a
 ///   message is charged by the rank that sent it, once, with its
 ///   [`Outgoing::bytes`] size). Backends tally the round per edge and
-///   charge each touched edge with one
-///   [`MessageLedger::record_bulk`], in ascending edge order, when the
+///   charge each touched edge with one `MessageLedger::record_bulk`, in
+///   ascending edge order, when the
 ///   barrier succeeds; a barrier that fails charges nothing;
 /// * when `traced`, record a [`TraceEvent`](crate::trace::TraceEvent) per
 ///   message in canonical send order (only backends whose
@@ -125,29 +125,17 @@ pub struct BarrierOutcome {
     /// [`Network::pending_messages`](crate::engine::Network::pending_messages).
     pub delivered: u64,
     /// Halted nodes outside the engine's owned range, as exchanged at this
-    /// barrier (0 for single-process backends). Under
-    /// [`RecoveryPolicy::DegradeToSurvivors`] the nodes of a dead rank are
-    /// counted here, so termination detection keeps working without them.
+    /// barrier (0 for single-process backends).
     pub remote_halted: usize,
-    /// Peers that died and were re-admitted through the rejoin handshake
-    /// during this barrier (always 0 on single-process backends; see
-    /// `docs/RECOVERY.md`).
-    pub recovered_peers: usize,
-    /// Peers declared dead and degraded to survivors during this barrier
-    /// under [`RecoveryPolicy::DegradeToSurvivors`] (always 0 on
-    /// single-process backends).
-    pub lost_peers: usize,
 }
 
 impl BarrierOutcome {
     /// The outcome of a single-process barrier: everything sent locally was
-    /// delivered, no remote nodes exist, no peers died or recovered.
-    pub fn local(delivered: u64) -> Self {
+    /// delivered and no remote nodes exist.
+    pub(crate) fn local(delivered: u64) -> Self {
         BarrierOutcome {
             delivered,
             remote_halted: 0,
-            recovered_peers: 0,
-            lost_peers: 0,
         }
     }
 }
@@ -155,11 +143,8 @@ impl BarrierOutcome {
 /// How a distributed barrier reacts when a peer rank stops responding (a
 /// dead socket, a liveness deadline blown past `io_timeout`).
 ///
-/// The policy is threaded through [`BarrierOutcome`]: a recovery shows up
-/// as [`BarrierOutcome::recovered_peers`], a degradation as
-/// [`BarrierOutcome::lost_peers`] plus the dead rank's nodes in
-/// [`BarrierOutcome::remote_halted`]. Single-process backends never consult
-/// it. Semantics are specified in `docs/RECOVERY.md`.
+/// Single-process backends never consult it. Semantics are specified in
+/// `docs/RECOVERY.md`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Abort the barrier with a precise
@@ -176,11 +161,6 @@ pub enum RecoveryPolicy {
         /// rejoin before giving up.
         attempts: u32,
     },
-    /// Declare the rank dead and continue without it: its nodes are mapped
-    /// onto the existing fail-stop crash semantics (counted as halted, their
-    /// traffic gone), mirroring a
-    /// [`FaultPlan`](crate::fault::FaultPlan) crash of the whole range.
-    DegradeToSurvivors,
 }
 
 /// A delivery backend for the round barrier.

@@ -52,8 +52,8 @@
 //! barrier.
 //!
 //! `sent_total` sums to the network-wide send count, so
-//! [`run_until_quiet`](crate::engine::Network::run_until_quiet) stays in
-//! lockstep across ranks; `halted` counts let every rank agree on global
+//! [`pending_messages`](crate::engine::Network::pending_messages) agrees
+//! across ranks; `halted` counts let every rank agree on global
 //! termination for [`run_until_halt`](crate::engine::Network::run_until_halt).
 //!
 //! # Connection setup
@@ -87,13 +87,9 @@
 //!   desynchronized). On admission the survivor re-sends its current
 //!   round's frame, so the rejoined rank re-enters the mesh at the next
 //!   barrier with nothing lost.
-//! * [`RecoveryPolicy::DegradeToSurvivors`] — the dead rank's nodes are
-//!   mapped onto fail-stop crash semantics: counted as remotely halted so
-//!   termination detection keeps working, their traffic gone.
 //!
-//! `docs/RECOVERY.md` specifies the rejoin handshake, the bit-identity
-//! contract of checkpoint-based recovery, and the caveats of degraded
-//! continuation.
+//! `docs/RECOVERY.md` specifies the rejoin handshake and the bit-identity
+//! contract of checkpoint-based recovery.
 //!
 //! The backend does not support [`TraceMode::Full`](crate::trace::TraceMode)
 //! (canonical-order trace events cannot be reconstructed from per-peer
@@ -325,16 +321,11 @@ pub struct TcpTransport<M> {
     edge_tally: EdgeTally,
     /// Ledger fault totals as of the previous barrier, for delta encoding.
     prev_faults: FaultTotals,
-    /// Peers permanently declared dead under
-    /// [`RecoveryPolicy::DegradeToSurvivors`].
-    dead: Vec<bool>,
     /// Peers whose death was detected during this barrier's write phase and
     /// whose rejoin is still pending (resolved at their read slot).
     rejoin_pending: Vec<bool>,
     /// Cumulative count of peers re-admitted through the rejoin handshake.
     recovered_total: u64,
-    /// Cumulative count of peers degraded to survivors.
-    lost_total: u64,
 }
 
 impl<M> fmt::Debug for TcpTransport<M> {
@@ -820,45 +811,16 @@ impl<M> TcpTransport<M> {
             local_pending: Vec::new(),
             edge_tally: EdgeTally::default(),
             prev_faults,
-            dead: vec![false; world],
             rejoin_pending: vec![false; world],
             recovered_total: 0,
-            lost_total: 0,
             config,
         }
-    }
-
-    /// This process's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the process group.
-    pub fn world_size(&self) -> usize {
-        self.world
-    }
-
-    /// The recovery policy this transport applies to dead peers.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.config.recovery
     }
 
     /// Cumulative number of peers re-admitted through the rejoin handshake
     /// over this transport's lifetime.
     pub fn recovered_peers_total(&self) -> u64 {
         self.recovered_total
-    }
-
-    /// Cumulative number of peers degraded to survivors over this
-    /// transport's lifetime.
-    pub fn lost_peers_total(&self) -> u64 {
-        self.lost_total
-    }
-
-    /// Whether `rank` has been permanently declared dead under
-    /// [`RecoveryPolicy::DegradeToSurvivors`].
-    pub fn is_peer_dead(&self, rank: usize) -> bool {
-        self.dead.get(rank).copied().unwrap_or(false)
     }
 
     /// Blocks on the retained listener until the dead `slot` rank rejoins
@@ -1226,9 +1188,6 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         }
         let halted_local = halted[owned.clone()].iter().filter(|&&h| h).count() as u32;
 
-        let mut recovered_peers = 0usize;
-        let mut lost_peers = 0usize;
-
         // Write every peer's frame, then read. This needs the kernel to
         // buffer a whole frame: once frames outgrow the socket buffers, two
         // ranks block in `write_all` at once until `io_timeout` (the
@@ -1236,12 +1195,12 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         // for every live peer before any write, so a peer that dies
         // mid-barrier can be re-sent its frame after rejoining.
         for peer in 0..self.world {
-            if peer != self.rank && !self.dead[peer] {
+            if peer != self.rank {
                 self.build_frame(peer, round, local_sent, halted_local)?;
             }
         }
         for peer in 0..self.world {
-            if peer == self.rank || self.dead[peer] {
+            if peer == self.rank {
                 continue;
             }
             if let Err(death) = self.send_frame(peer) {
@@ -1255,12 +1214,6 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
                         // order.
                         self.streams[peer] = None;
                         self.rejoin_pending[peer] = true;
-                    }
-                    RecoveryPolicy::DegradeToSurvivors => {
-                        self.streams[peer] = None;
-                        self.dead[peer] = true;
-                        lost_peers += 1;
-                        self.lost_total += 1;
                     }
                 }
             }
@@ -1285,17 +1238,9 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
                 }
                 continue;
             }
-            if self.dead[slot] {
-                // Degraded rank: fail-stop semantics. All of its nodes are
-                // counted as remotely halted so termination detection keeps
-                // working without it; its traffic is gone.
-                remote_halted += rank_range(slot, self.world, node_count).len();
-                continue;
-            }
             if self.rejoin_pending[slot] {
                 if let RecoveryPolicy::Retry { attempts } = policy {
                     self.recover_peer(slot, round, attempts)?;
-                    recovered_peers += 1;
                     self.recovered_total += 1;
                 }
             }
@@ -1308,7 +1253,6 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
                         }
                         RecoveryPolicy::Retry { attempts } => {
                             self.recover_peer(slot, round, attempts)?;
-                            recovered_peers += 1;
                             self.recovered_total += 1;
                             if let Err(second) = self.read_frame(slot) {
                                 return Err(match second {
@@ -1318,14 +1262,6 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
                                     }
                                 });
                             }
-                        }
-                        RecoveryPolicy::DegradeToSurvivors => {
-                            self.streams[slot] = None;
-                            self.dead[slot] = true;
-                            lost_peers += 1;
-                            self.lost_total += 1;
-                            remote_halted += rank_range(slot, self.world, node_count).len();
-                            continue;
                         }
                     },
                 }
@@ -1469,8 +1405,6 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         Ok(BarrierOutcome {
             delivered,
             remote_halted,
-            recovered_peers,
-            lost_peers,
         })
     }
 
@@ -1556,10 +1490,16 @@ mod tests {
             .with_drop_probability(0.1)
             .with_duplicate_probability(0.1)
             .with_crash(NodeId::new(7), 4);
-        let churn = ChurnPlan::new(29)
+        let mut churn = ChurnPlan::new(29)
             .with_insert_rate(0.05)
-            .with_delete_rate(0.02)
-            .with_edge_insert(1, NodeId::new(0), NodeId::new(39));
+            .with_delete_rate(0.02);
+        churn.scheduled.push(crate::churn::ScheduledChurn {
+            round: 1,
+            event: crate::churn::ChurnEventSpec::InsertEdge {
+                u: NodeId::new(0),
+                v: NodeId::new(39),
+            },
+        });
         let (listeners, peers) = loopback(world);
         std::thread::scope(|scope| {
             let handles: Vec<_> = listeners
