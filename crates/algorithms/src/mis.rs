@@ -379,4 +379,17 @@ mod tests {
             ]
         ));
     }
+
+    /// The send grid holds every message of a round as one `Outgoing`
+    /// record: edge (8 B), sender and receiver (4 B each) and the payload,
+    /// with no byte count beside them. A 16-byte `MisMessage` makes a
+    /// 32-byte record and a `u64` a 24-byte one.
+    #[test]
+    fn outgoing_records_carry_no_byte_count() {
+        use freelunch_runtime::Outgoing;
+        use std::mem::size_of;
+        assert_eq!(size_of::<MisMessage>(), 16);
+        assert_eq!(size_of::<Outgoing<MisMessage>>(), 32);
+        assert_eq!(size_of::<Outgoing<u64>>(), 24);
+    }
 }

@@ -11,15 +11,16 @@
 //!
 //! [`CsrGraph`] is the *frozen* counterpart produced by
 //! [`MultiGraph::freeze`]: all incidence lists are packed back-to-back into
-//! a single offset/edge array pair, the distinct-neighbor sets (`N_j(v)` in
-//! the paper) are memoized once in a second CSR pair, and edge-ID lookup is
-//! a plain array index whenever the IDs are densely allocated (the common
-//! case — [`MultiGraph::add_edge`] hands out sequential IDs). The repeated
-//! single-source ball queries of the simulation verifier, the `t`-local
-//! broadcast coverage check and the gossip baseline all freeze once and
-//! query the packed view; the execution engine keeps the frozen view as its
-//! only graph copy and validates every send through its dense
-//! [`endpoint_table`](CsrGraph::endpoint_table).
+//! a single offset/incidence array pair, beside the edge list. That is all
+//! a freeze builds. The distinct-neighbor sets (`N_j(v)` in the paper) are
+//! memoized in a second CSR pair by the first query that needs them
+//! ([`CsrGraph::distinct_neighbors`], [`CsrGraph::has_edge_between`]; the
+//! planner's clustering probe is the reader), so a view that never asks
+//! carries none. The repeated single-source ball queries of the simulation
+//! verifier, the `t`-local broadcast coverage check and the gossip baseline
+//! all freeze once and query the packed view; the execution engine keeps
+//! the frozen view as its only graph copy and resolves edges through its
+//! dense [`endpoint_table`](CsrGraph::endpoint_table).
 //!
 //! The [`Topology`] trait abstracts over the two representations so that
 //! the traversal routines ([`bfs`](crate::traversal::bfs),
@@ -38,8 +39,8 @@
 //!
 //! let frozen = g.freeze();
 //! assert_eq!(frozen.degree(NodeId::new(1)), 3);
-//! // Distinct neighbors are deduplicated once at freeze time; this is a
-//! // slice borrow, not a fresh allocation per call.
+//! // Distinct neighbors are deduplicated once, on the first query; this is
+//! // a slice borrow, not a fresh allocation per call.
 //! assert_eq!(frozen.distinct_neighbors(NodeId::new(1)), &[NodeId::new(0), NodeId::new(2)]);
 //! # Ok(())
 //! # }
@@ -48,7 +49,7 @@
 use crate::error::{GraphError, GraphResult};
 use crate::multigraph::{Edge, IncidentEdge, MultiGraph};
 use crate::{EdgeId, NodeId};
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Iterator over the node identifiers `0..n` of a graph view.
 pub type NodeIdRange = std::iter::Map<std::ops::Range<u32>, fn(u32) -> NodeId>;
@@ -129,19 +130,13 @@ impl Topology for CsrGraph {
     }
 }
 
-/// Edge-ID → storage-index lookup. IDs assigned by [`MultiGraph::add_edge`]
-/// are sequential, so the dense variant (a plain array indexed by the raw
-/// ID) applies almost always; explicitly chosen sparse IDs fall back to a
-/// hash map.
-#[derive(Debug, Clone)]
-enum EdgeLookup {
-    /// `table[raw_id]` is the storage index, or `u32::MAX` for "absent".
-    Dense(Vec<u32>),
-    /// Fallback for sparsely allocated edge IDs.
-    Sparse(HashMap<EdgeId, u32>),
+/// The memoized distinct-neighbor sets: `neighbors[offsets[v]..offsets[v + 1]]`
+/// is the sorted, deduplicated neighbor set of `v` (`N_j(v)` of the paper).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct NeighborSets {
+    offsets: Vec<usize>,
+    neighbors: Vec<NodeId>,
 }
-
-const ABSENT: u32 = u32::MAX;
 
 /// A frozen multigraph in compressed-sparse-row form.
 ///
@@ -154,78 +149,55 @@ pub struct CsrGraph {
     /// `incidents[offsets[v]..offsets[v + 1]]` is the incidence list of `v`.
     offsets: Vec<usize>,
     incidents: Vec<IncidentEdge>,
-    /// `neighbors[neighbor_offsets[v]..neighbor_offsets[v + 1]]` is the
-    /// sorted, deduplicated neighbor set of `v` (memoized `N_j(v)`).
-    neighbor_offsets: Vec<usize>,
-    neighbors: Vec<NodeId>,
     /// All edges in the insertion order of the originating graph.
     edges: Vec<Edge>,
-    lookup: EdgeLookup,
+    /// The distinct-neighbor sets, built by the first
+    /// [`CsrGraph::distinct_neighbors`] or [`CsrGraph::has_edge_between`]
+    /// call; a view that never asks for them (the engine's) never holds
+    /// them.
+    neighbor_sets: OnceLock<NeighborSets>,
 }
 
 impl CsrGraph {
-    /// Builds the frozen view of `graph`. `O(n + m log Δ)` time, where the
-    /// log factor comes from sorting each neighbor list once.
+    /// Builds the frozen view of `graph`: the packed incidence lists and
+    /// the edge list, `O(n + m)` time. The distinct-neighbor sets are built
+    /// on first use.
     pub fn from_graph(graph: &MultiGraph) -> Self {
         let n = graph.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let mut incidents = Vec::with_capacity(graph.incidence_count());
-        let mut neighbor_offsets = Vec::with_capacity(n + 1);
-        neighbor_offsets.push(0);
-        let mut neighbors = Vec::new();
-        let mut scratch: Vec<NodeId> = Vec::new();
-
         for node in graph.nodes() {
-            let list = graph.incident_edges(node);
-            incidents.extend_from_slice(list);
+            incidents.extend_from_slice(graph.incident_edges(node));
             offsets.push(incidents.len());
-
-            scratch.clear();
-            scratch.extend(list.iter().map(|ie| ie.neighbor));
-            scratch.sort_unstable();
-            scratch.dedup();
-            neighbors.extend_from_slice(&scratch);
-            neighbor_offsets.push(neighbors.len());
         }
-
-        let edges: Vec<Edge> = graph.edges().copied().collect();
-        let lookup = Self::build_lookup(&edges);
-
         CsrGraph {
             node_count: n,
             offsets,
             incidents,
-            neighbor_offsets,
-            neighbors,
-            edges,
-            lookup,
+            edges: graph.edges().copied().collect(),
+            neighbor_sets: OnceLock::new(),
         }
     }
 
-    fn build_lookup(edges: &[Edge]) -> EdgeLookup {
-        let max_raw = edges.iter().map(|e| e.id.raw()).max();
-        let dense_limit = (2 * edges.len() + 64) as u64;
-        match max_raw {
-            // A dense table is worthwhile when the ID space is at most a
-            // small constant factor larger than the edge count (and indices
-            // fit in the u32 slots).
-            Some(max) if max < dense_limit && edges.len() < ABSENT as usize => {
-                let mut table = vec![ABSENT; max as usize + 1];
-                for (index, edge) in edges.iter().enumerate() {
-                    table[edge.id.raw() as usize] = index as u32;
-                }
-                EdgeLookup::Dense(table)
+    /// The distinct-neighbor sets, built on the first call: each incidence
+    /// list's neighbors sorted and deduplicated once, `O(m log Δ)` time.
+    fn neighbor_sets(&self) -> &NeighborSets {
+        self.neighbor_sets.get_or_init(|| {
+            let mut offsets = Vec::with_capacity(self.node_count + 1);
+            offsets.push(0);
+            let mut neighbors = Vec::new();
+            let mut scratch: Vec<NodeId> = Vec::new();
+            for node in self.nodes() {
+                scratch.clear();
+                scratch.extend(self.incident_edges(node).iter().map(|ie| ie.neighbor));
+                scratch.sort_unstable();
+                scratch.dedup();
+                neighbors.extend_from_slice(&scratch);
+                offsets.push(neighbors.len());
             }
-            Some(_) => EdgeLookup::Sparse(
-                edges
-                    .iter()
-                    .enumerate()
-                    .map(|(index, edge)| (edge.id, index as u32))
-                    .collect(),
-            ),
-            None => EdgeLookup::Dense(Vec::new()),
-        }
+            NeighborSets { offsets, neighbors }
+        })
     }
 
     /// Number of nodes.
@@ -255,63 +227,6 @@ impl CsrGraph {
         self.edges.iter().map(|e| e.id)
     }
 
-    /// Returns `true` if the graph contains an edge with identifier `id`.
-    pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edge_index(id).is_some()
-    }
-
-    #[inline]
-    fn edge_index(&self, id: EdgeId) -> Option<usize> {
-        match &self.lookup {
-            EdgeLookup::Dense(table) => match table.get(id.raw() as usize) {
-                Some(&index) if index != ABSENT => Some(index as usize),
-                _ => None,
-            },
-            EdgeLookup::Sparse(map) => map.get(&id).map(|&index| index as usize),
-        }
-    }
-
-    /// Returns the edge with identifier `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownEdge`] if no such edge exists.
-    #[inline]
-    pub fn edge(&self, id: EdgeId) -> GraphResult<&Edge> {
-        self.edge_index(id)
-            .map(|index| &self.edges[index])
-            .ok_or(GraphError::UnknownEdge { edge: id })
-    }
-
-    /// Returns the endpoints of an edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownEdge`] if no such edge exists.
-    pub fn endpoints(&self, id: EdgeId) -> GraphResult<(NodeId, NodeId)> {
-        self.edge(id).map(|e| (e.u, e.v))
-    }
-
-    /// Returns the endpoint of edge `id` that is not `node`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownEdge`] if the edge does not exist, or
-    /// [`GraphError::NodeOutOfRange`] if `node` is not an endpoint.
-    pub fn other_endpoint(&self, id: EdgeId, node: NodeId) -> GraphResult<NodeId> {
-        let edge = self.edge(id)?;
-        if edge.u == node {
-            Ok(edge.v)
-        } else if edge.v == node {
-            Ok(edge.u)
-        } else {
-            Err(GraphError::NodeOutOfRange {
-                node,
-                node_count: self.node_count,
-            })
-        }
-    }
-
     /// Degree of `node`, counting parallel edges with multiplicity.
     ///
     /// # Panics
@@ -335,16 +250,17 @@ impl CsrGraph {
 
     /// The distinct neighbors of `node`, sorted by node index — the
     /// memoized `N_j(v)` of the paper. Unlike
-    /// [`MultiGraph::distinct_neighbors`], this is a slice borrow computed
-    /// once at freeze time, not a fresh sort/dedup per call.
+    /// [`MultiGraph::distinct_neighbors`], this is a slice borrow: the sets
+    /// of every node are built once, by the view's first call, not sorted
+    /// and deduplicated afresh per call.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     #[inline]
     pub fn distinct_neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.neighbors
-            [self.neighbor_offsets[node.index()]..self.neighbor_offsets[node.index() + 1]]
+        let sets = self.neighbor_sets();
+        &sets.neighbors[sets.offsets[node.index()]..sets.offsets[node.index() + 1]]
     }
 
     /// Returns `true` if at least one edge connects `u` and `v` (binary
@@ -399,8 +315,8 @@ impl CsrGraph {
 
 impl MultiGraph {
     /// Freezes this graph into its [`CsrGraph`] view: packed incidence
-    /// arrays, memoized distinct-neighbor sets, and array-indexed edge
-    /// lookup. The graph itself is unchanged.
+    /// arrays and the edge list (the distinct-neighbor sets follow on first
+    /// use). The graph itself is unchanged.
     pub fn freeze(&self) -> CsrGraph {
         CsrGraph::from_graph(self)
     }
@@ -462,34 +378,28 @@ mod tests {
     }
 
     #[test]
-    fn edge_lookup_dense_path() {
+    fn distinct_neighbor_sets_are_built_on_first_use() {
         let g = sample();
         let frozen = g.freeze();
-        assert!(matches!(frozen.lookup, EdgeLookup::Dense(_)));
-        for edge in g.edges() {
-            assert_eq!(frozen.edge(edge.id).unwrap(), edge);
-            assert_eq!(frozen.endpoints(edge.id).unwrap(), (edge.u, edge.v));
-            assert_eq!(frozen.other_endpoint(edge.id, edge.u).unwrap(), edge.v);
+        // A freeze packs the incidence lists and the edges only.
+        assert!(frozen.neighbor_sets.get().is_none());
+        // Node 2 sits at both ends of the parallel pair and has a second
+        // neighbor, so its set is a proper dedup of its incidence list.
+        assert_eq!(frozen.distinct_neighbors(n(2)), &[n(1), n(3)]);
+        // The first use built every node's set: each incidence list's
+        // neighbors sorted and deduplicated, packed in node order.
+        let mut offsets = vec![0];
+        let mut neighbors = Vec::new();
+        for node in g.nodes() {
+            neighbors.extend(g.distinct_neighbors(node));
+            offsets.push(neighbors.len());
         }
-        assert!(frozen.contains_edge(EdgeId::new(0)));
-        assert!(!frozen.contains_edge(EdgeId::new(99)));
-        assert!(frozen.edge(EdgeId::new(99)).is_err());
-    }
-
-    #[test]
-    fn edge_lookup_sparse_fallback() {
-        let mut g = MultiGraph::new(3);
-        g.add_edge_with_id(EdgeId::new(1_000_000), n(0), n(1))
-            .unwrap();
-        g.add_edge_with_id(EdgeId::new(5), n(1), n(2)).unwrap();
-        let frozen = g.freeze();
-        assert!(matches!(frozen.lookup, EdgeLookup::Sparse(_)));
         assert_eq!(
-            frozen.endpoints(EdgeId::new(1_000_000)).unwrap(),
-            (n(0), n(1))
+            frozen.neighbor_sets.get(),
+            Some(&NeighborSets { offsets, neighbors })
         );
-        assert!(frozen.edge(EdgeId::new(6)).is_err());
-        assert!(frozen.other_endpoint(EdgeId::new(5), n(0)).is_err());
+        // A clone of a fresh view stays fresh.
+        assert!(g.freeze().clone().neighbor_sets.get().is_none());
     }
 
     #[test]

@@ -52,14 +52,17 @@
 //!
 //! Work-stealing changes only *which worker* steps a node, and that is
 //! unobservable: every node writes only its own pre-allocated slots
-//! (program state, RNG, halted flag and send count, plus its chunk's grid
-//! row — chunks are disjoint `&mut` sub-slices each claimed exactly once),
-//! each node draws from its own seeded [`ChaCha8Rng`] stream keyed by
-//! `(seed, node)`, fault fates are keyed by the message, not the worker,
-//! and the barrier reads everything back in canonical node order. A failing
-//! round reports the canonically **first** error (lowest node index):
-//! claims are ascending, so each worker keeps the first error it meets, and
-//! the lowest of those wins after the join. Hence every observable of an
+//! (program state, RNG position, halted flag and send count, plus its
+//! chunk's grid row — chunks are disjoint `&mut` sub-slices each claimed
+//! exactly once), each node draws from its own
+//! [`ChaCha8Rng`](rand_chacha::ChaCha8Rng) stream keyed by `(seed, node)`
+//! (the engine keeps only the stream's position, and [`Context::rng`]
+//! rebuilds the generator when a step first draws), fault fates are keyed
+//! by the message, not the worker, and the barrier reads everything back
+//! in canonical node order. A failing round reports the canonically
+//! **first** error (lowest node index): claims are ascending, so each
+//! worker keeps the first error it meets, and the lowest of those wins
+//! after the join. Hence every observable of an
 //! execution — [`ExecutionMetrics`], [`MessageLedger`], [`Trace`], program
 //! outputs — is **bit-identical for every shard count and chunk size** at
 //! equal seeds. Both are wall-clock knobs, never semantics knobs.
@@ -126,8 +129,6 @@ use crate::node::{Context, Envelope, NodeProgram, Outgoing};
 use crate::trace::{Trace, TraceMode};
 use crate::transport::{InProcessTransport, RoundBarrier, Transport, WireCodec};
 use freelunch_graph::{CsrGraph, EdgeId, IncidentEdge, MultiGraph, NodeId, OverlayGraph};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Mutex;
@@ -249,12 +250,6 @@ impl NetworkConfig {
     }
 }
 
-/// Mixes the network seed with a node index into an independent per-node
-/// stream seed (the crate-wide splitmix64 finalizer).
-fn node_seed(seed: u64, node: usize) -> u64 {
-    crate::fault::splitmix64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 /// Runs `work` on every item, one worker per entry of `workers` (at least
 /// one; each entry is that worker's state), and returns the states. The calling
 /// thread is one of the workers, so one worker starts no thread and `k`
@@ -366,7 +361,9 @@ pub struct Network<
     /// validates a [`Context::send`].
     edge_endpoints: Vec<[u32; 2]>,
     programs: Vec<P>,
-    rngs: Vec<ChaCha8Rng>,
+    /// Each node's keystream position in its private RNG stream (keyed by
+    /// `(config.seed, node)`): all the RNG state there is between steps.
+    rng_positions: Vec<u64>,
     halted: Vec<bool>,
     /// The mailbox plane: `mailboxes[v]` holds the messages delivered to
     /// `v` at the last barrier. Programs read it during the execute phase,
@@ -376,7 +373,9 @@ pub struct Network<
     /// The send grid, row-major: `grid[row * shape.columns + column]` holds
     /// what the senders of execute chunk `row` sent to the receivers of
     /// `column`, in canonical (sender, send) order. The execute phase fills
-    /// it and the transport drains it; every bucket keeps its capacity.
+    /// it and the transport drains it; every bucket keeps its capacity,
+    /// which [`Network::with_plans`] reserves once: the ports its row's
+    /// senders have into its column.
     grid: Vec<Vec<Outgoing<P::Message>>>,
     /// The grid's layout, fixed when the network is built.
     shape: GridShape,
@@ -469,6 +468,24 @@ impl GridShape {
             rows,
             columns: node_count.div_ceil(width),
         }
+    }
+
+    /// The empty grid over the `owned` nodes of `csr`, each bucket reserved
+    /// once at its working size: the ports its row's senders have into its
+    /// column, counted in one pass over the owned CSR slices. A round that
+    /// sends at most one message per port (a broadcast, `LubyMis`, a pulse
+    /// exchange) fills the grid without regrowing or copying a bucket; one
+    /// that sends more (fault duplicates, edges a churn plan inserted) grows
+    /// a bucket as `Vec::push` does.
+    fn reserve<T>(&self, csr: &CsrGraph, owned: Range<usize>) -> Vec<Vec<T>> {
+        let mut spans = vec![0usize; self.rows * self.columns];
+        for (offset, v) in owned.enumerate() {
+            let row = &mut spans[offset / self.chunk * self.columns..][..self.columns];
+            for incident in csr.incident_edges(NodeId::from_usize(v)) {
+                row[incident.neighbor.index() / self.width] += 1;
+            }
+        }
+        spans.into_iter().map(Vec::with_capacity).collect()
     }
 }
 
@@ -710,9 +727,6 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 factory(node, &knowledge)
             })
             .collect();
-        let rngs = (0..graph.node_count())
-            .map(|v| ChaCha8Rng::seed_from_u64(node_seed(config.seed, v)))
-            .collect();
         let node_count = graph.node_count();
         let ledger = MessageLedger::new(edge_slots);
         // Validate before the emptiness shortcut: a plan with (say) a
@@ -743,18 +757,17 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             config.chunk_size,
             transport.column_width(node_count, &config),
         );
+        let grid = shape.reserve(&csr, owned.clone());
         Ok(Network {
             csr,
             config,
             log_n_upper_bound,
             edge_endpoints,
             programs,
-            rngs,
+            rng_positions: vec![0; node_count],
             halted: vec![false; node_count],
             mailboxes: (0..node_count).map(|_| Vec::new()).collect(),
-            grid: (0..shape.rows * shape.columns)
-                .map(|_| Vec::new())
-                .collect(),
+            grid,
             shape,
             workers: (0..shards)
                 .map(|_| ExecuteWorker {
@@ -919,8 +932,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
     ///
     /// A worker runs each node's program against its scratch outbox, then,
     /// while those sends are still in cache, resolves the fault plan's fate
-    /// of each in send order, sizes the survivors' payloads
-    /// ([`NodeProgram::payload_bytes`]), counts them and moves them into its
+    /// of each in send order, counts the survivors and moves them into its
     /// row's buckets by receiver column. A row is cleared when it is
     /// claimed, so a grid left full by an aborted round never leaks into the
     /// next. The workers' drop and duplicate counts are charged to the
@@ -940,10 +952,11 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         let faults = self.faults.as_ref();
         let message_faults = faults.filter(|faults| faults.affects_messages());
         let overlay = self.churn.as_ref().map(ChurnDriver::overlay);
+        let seed = self.config.seed;
 
         let step = |index: usize,
                     program: &mut P,
-                    rng: &mut ChaCha8Rng,
+                    rng_pos: &mut u64,
                     outbox: &mut Vec<Outgoing<P::Message>>,
                     halted: &mut bool|
          -> Option<RuntimeError> {
@@ -977,13 +990,15 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
                 ports,
                 edge_endpoints,
                 round,
-                rng,
+                seed,
+                *rng_pos,
                 outbox,
             );
             match phase {
                 Phase::Init => program.init(&mut ctx),
                 Phase::Round => program.round(&mut ctx, &mailboxes[index]),
             }
+            *rng_pos = ctx.rng_position();
             if ctx.halted {
                 *halted = true;
             }
@@ -999,7 +1014,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
         } = self.shape;
         let chunks: Vec<_> = self.programs[owned.clone()]
             .chunks_mut(chunk)
-            .zip(self.rngs[owned.clone()].chunks_mut(chunk))
+            .zip(self.rng_positions[owned.clone()].chunks_mut(chunk))
             .zip(self.halted[owned.clone()].chunks_mut(chunk))
             .zip(self.sent[owned.clone()].chunks_mut(chunk))
             .zip(self.grid.chunks_mut(columns))
@@ -1009,32 +1024,31 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             std::mem::take(&mut self.workers),
             chunks,
             |worker: &mut ExecuteWorker<P::Message>,
-             (slot, ((((programs, rngs), halted), sent), row))| {
+             (slot, ((((programs, rng_positions), halted), sent), row))| {
                 for bucket in row.iter_mut() {
                     bucket.clear();
                 }
                 let base = owned.start + slot * chunk;
-                for (offset, (((program, rng), halted), sent)) in programs
+                for (offset, (((program, rng_pos), halted), sent)) in programs
                     .iter_mut()
-                    .zip(rngs)
+                    .zip(rng_positions)
                     .zip(halted)
                     .zip(sent)
                     .enumerate()
                 {
                     let index = base + offset;
-                    let error = step(index, program, rng, &mut worker.outbox, halted);
+                    let error = step(index, program, rng_pos, &mut worker.outbox, halted);
                     if worker.first_error.is_none() {
                         worker.first_error = error.map(|error| (index, error));
                     }
                     let mut placed = 0;
-                    for (send, mut outgoing) in worker.outbox.drain(..).enumerate() {
+                    for (send, outgoing) in worker.outbox.drain(..).enumerate() {
                         let copies = message_faults.map_or(1, |faults| {
                             worker.faults.copies(faults, round, send, &outgoing)
                         });
                         if copies == 0 {
                             continue;
                         }
-                        outgoing.bytes = P::payload_bytes(&outgoing.payload);
                         let bucket = &mut row[outgoing.receiver.index() / width];
                         if copies == 2 {
                             // A duplicate sits next to its original.
@@ -1086,6 +1100,7 @@ impl<P: NodeProgram, T: Transport<P::Message>> Network<P, T> {
             shards: self.shard_count(),
             traced,
             local_sent: round_total,
+            payload_bytes: P::payload_bytes,
             halted: &self.halted,
             grid: &mut self.grid,
             column_width: self.shape.width,
@@ -1301,7 +1316,7 @@ where
             fault_digest: debug_digest(&self.fault_plan()),
             churn_digest: debug_digest(&self.churn_plan()),
             halted: self.halted.clone(),
-            rng_positions: self.rngs.iter().map(|rng| rng.word_pos()).collect(),
+            rng_positions: self.rng_positions.clone(),
             program_states,
             pending,
             churn_events: self.churn_events.clone(),
@@ -1497,9 +1512,9 @@ where
         network.in_flight = checkpoint.in_flight as usize;
         network.remote_halted = checkpoint.remote_halted as usize;
         network.halted.copy_from_slice(&checkpoint.halted);
-        for (rng, &pos) in network.rngs.iter_mut().zip(&checkpoint.rng_positions) {
-            rng.set_word_pos(pos);
-        }
+        network
+            .rng_positions
+            .copy_from_slice(&checkpoint.rng_positions);
         for (index, state) in checkpoint.program_states.iter().enumerate() {
             network.programs[index].load_state(state).map_err(|e| {
                 RuntimeError::checkpoint(format!(
@@ -1564,6 +1579,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::node_seed;
     use freelunch_graph::generators::{cycle_graph, GeneratorConfig};
     use freelunch_graph::EdgeId;
 
@@ -1912,6 +1928,86 @@ mod tests {
         assert_ne!(node_seed(7, 1), node_seed(8, 1));
     }
 
+    /// Words each step of a [`Drawer`] draws, by round (initialization
+    /// first): successive steps start mid-block and cross 16-word blocks.
+    const DRAWS: [usize; 5] = [0, 1, 3, 16, 17];
+
+    /// Logs the words it draws from its stream, [`DRAWS`] per step; halts
+    /// after the last.
+    struct Drawer {
+        words: Vec<u32>,
+    }
+
+    impl Drawer {
+        fn draw(&mut self, ctx: &mut Context<'_, u64>) {
+            use rand::RngCore;
+            for _ in 0..DRAWS[ctx.round() as usize] {
+                self.words.push(ctx.rng().next_u32());
+            }
+        }
+    }
+
+    impl NodeProgram for Drawer {
+        type Message = u64;
+        fn init(&mut self, ctx: &mut Context<'_, u64>) {
+            self.draw(ctx);
+        }
+        fn round(&mut self, ctx: &mut Context<'_, u64>, _inbox: &[Envelope<u64>]) {
+            self.draw(ctx);
+            if ctx.round() as usize == DRAWS.len() - 1 {
+                ctx.halt();
+            }
+        }
+    }
+
+    #[test]
+    fn node_streams_continue_across_steps_and_checkpoints() {
+        use rand::{RngCore, SeedableRng};
+        let graph = cycle(10);
+        let seed = 31;
+        // Node `v`'s words from one generator drawn consecutively, after
+        // the first `skip`.
+        let reference = |v: usize, skip: usize| -> Vec<u32> {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(node_seed(seed, v));
+            let total: usize = DRAWS.iter().sum();
+            (0..total).map(|_| rng.next_u32()).skip(skip).collect()
+        };
+        let drawer = |_: NodeId, _: &InitialKnowledge| Drawer { words: Vec::new() };
+        for shards in [1, 2, 8] {
+            let config = NetworkConfig::with_seed(seed).sharded(shards).chunk_size(3);
+            let mut network = Network::new(&graph, config, drawer).unwrap();
+            network.run_until_halt(DRAWS.len() as u32).unwrap();
+            for (v, program) in network.programs().iter().enumerate() {
+                assert_eq!(program.words, reference(v, 0), "node {v}, {shards} shards");
+            }
+            // After round 2 every stream stands 4 words into its first
+            // block; the checkpoint carries the positions through its byte
+            // form, and the restored run draws the rest of the stream.
+            let mut network = Network::new(&graph, config, drawer).unwrap();
+            network.run_rounds(2).unwrap();
+            assert!(network.rng_positions.iter().all(|&pos| pos == 4));
+            let bytes = network.checkpoint().to_bytes();
+            let checkpoint = NetworkCheckpoint::from_bytes(&bytes).unwrap();
+            let mut restored = Network::restore_with_plans(
+                &graph,
+                FaultPlan::none(),
+                ChurnPlan::none(),
+                InProcessTransport::new(),
+                &checkpoint,
+                drawer,
+            )
+            .unwrap();
+            restored.run_until_halt(DRAWS.len() as u32).unwrap();
+            for (v, program) in restored.programs().iter().enumerate() {
+                assert_eq!(
+                    program.words,
+                    reference(v, 4),
+                    "node {v} after restore, {shards} shards"
+                );
+            }
+        }
+    }
+
     /// Every node draws random values each round and gossips them; the
     /// drawn values, message pattern and halting round all depend on the
     /// per-node RNG streams, making this a sharp determinism probe.
@@ -2038,6 +2134,32 @@ mod tests {
         }
     }
 
+    /// The in-process backend, noting each bucket's length and capacity as
+    /// the engine hands it the grid.
+    #[derive(Debug, Default)]
+    struct GridProbe {
+        inner: InProcessTransport<u64>,
+        buckets: Vec<(usize, usize)>,
+    }
+
+    impl Transport<u64> for GridProbe {
+        fn deliver(
+            &mut self,
+            barrier: RoundBarrier<'_, u64>,
+        ) -> RuntimeResult<crate::transport::BarrierOutcome> {
+            self.buckets = barrier
+                .grid
+                .iter()
+                .map(|bucket| (bucket.len(), bucket.capacity()))
+                .collect();
+            self.inner.deliver(barrier)
+        }
+
+        fn column_width(&self, node_count: usize, config: &NetworkConfig) -> usize {
+            self.inner.column_width(node_count, config)
+        }
+    }
+
     #[test]
     fn mailboxes_are_sized_exactly_to_their_incoming_messages() {
         /// Broadcasts at initialization and in every round.
@@ -2069,12 +2191,40 @@ mod tests {
                 let config = NetworkConfig::with_seed(5)
                     .sharded(shards)
                     .chunk_size(chunk);
-                let mut network = Network::new(&graph, config, |_, _| Chatter).unwrap();
+                let mut network = Network::with_transport(
+                    &graph,
+                    config,
+                    FaultPlan::none(),
+                    GridProbe::default(),
+                    |_, _| Chatter,
+                )
+                .unwrap();
+                // The ports each bucket spans: one per edge direction, in
+                // the sender's row and the receiver's column.
+                let GridShape {
+                    chunk: row_nodes,
+                    width,
+                    columns,
+                    ..
+                } = network.shape;
+                let mut spans = vec![0; network.grid.len()];
+                for edge in graph.edges() {
+                    for (from, to) in [(edge.u, edge.v), (edge.v, edge.u)] {
+                        spans[from.index() / row_nodes * columns + to.index() / width] += 1;
+                    }
+                }
+                let full: Vec<(usize, usize)> = spans.iter().map(|&span| (span, span)).collect();
                 // A broadcast round, then three more identical ones: every
                 // mailbox holds one message per port, at exactly that
-                // capacity, and keeps it.
-                for round in 1..=4 {
-                    network.run_round().unwrap();
+                // capacity, and keeps it; every bucket reaches the barrier
+                // filled to the capacity reserved when the network was
+                // built, never regrown.
+                for round in 0..=4 {
+                    if round == 0 {
+                        network.initialize().unwrap();
+                    } else {
+                        network.run_round().unwrap();
+                    }
                     for (v, mailbox) in network.mailboxes.iter().enumerate() {
                         assert_eq!(
                             (mailbox.len(), mailbox.capacity()),
@@ -2082,6 +2232,11 @@ mod tests {
                             "node {v} after round {round} at {shards} shards, chunk {chunk}"
                         );
                     }
+                    assert_eq!(
+                        network.transport().buckets,
+                        full,
+                        "grid of round {round} at {shards} shards, chunk {chunk}"
+                    );
                 }
             }
         }

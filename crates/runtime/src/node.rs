@@ -3,8 +3,15 @@
 use crate::error::RuntimeError;
 use crate::knowledge::{InitialKnowledge, Port};
 use freelunch_graph::{CsrGraph, EdgeId, IncidentEdge, NodeId};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
+
+/// Mixes the network seed with a node index into an independent per-node
+/// stream seed (the crate-wide splitmix64 finalizer).
+pub(crate) fn node_seed(seed: u64, node: usize) -> u64 {
+    crate::fault::splitmix64(seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
 
 /// A message in transit: the payload together with the edge it travelled
 /// over and the sender.
@@ -27,9 +34,14 @@ pub struct Envelope<M> {
 /// One buffered outgoing message, fully resolved at send time: the context
 /// validates the edge and looks up the receiver when the program calls
 /// [`Context::send`] / [`Context::send_port`], so the dispatch barrier does
-/// no per-message graph work at all. `bytes` is the
-/// [`NodeProgram::payload_bytes`] wire size, filled in by the engine on the
-/// shard worker thread right after the program's step returns.
+/// no per-message graph work at all.
+///
+/// The record carries no byte count: a backend sizes the payload where it
+/// tallies it, through
+/// [`RoundBarrier::payload_bytes`](crate::transport::RoundBarrier::payload_bytes)
+/// ([`NodeProgram::payload_bytes`]). That keeps the record at the width of
+/// its four fields — 32 bytes for a 16-byte payload, 24 for a `u64` —
+/// which is what each message of a round costs in the send grid.
 ///
 /// This is the unit of work a [`Transport`](crate::transport::Transport)
 /// backend receives at the round barrier: the engine hands each backend the
@@ -44,10 +56,6 @@ pub struct Outgoing<M> {
     pub sender: NodeId,
     /// The receiving node (resolved at send time).
     pub receiver: NodeId,
-    /// Wire size of the payload per [`NodeProgram::payload_bytes`]. For a
-    /// wire transport this must equal the encoded length byte for byte —
-    /// the codec/`payload_bytes` equivalence rule of `docs/TRANSPORT.md`.
-    pub bytes: u64,
     /// The message payload.
     pub payload: M,
 }
@@ -80,7 +88,13 @@ pub struct Context<'a, M> {
     /// array read that validates a [`Context::send`].
     pub(crate) edge_endpoints: &'a [[u32; 2]],
     pub(crate) round: u32,
-    pub(crate) rng: &'a mut ChaCha8Rng,
+    /// The network seed; with the node it keys the node's private stream.
+    seed: u64,
+    /// The stream's keystream position when the step started.
+    rng_pos: u64,
+    /// The node's generator, rebuilt from `(seed, node, rng_pos)` by the
+    /// step's first [`Context::rng`] call.
+    rng: Option<ChaCha8Rng>,
     /// The stepping worker's scratch outbox, empty when the step starts and
     /// reused across rounds (in steady state no send allocates).
     pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
@@ -95,7 +109,8 @@ impl<'a, M> Context<'a, M> {
         ports: &'a [IncidentEdge],
         edge_endpoints: &'a [[u32; 2]],
         round: u32,
-        rng: &'a mut ChaCha8Rng,
+        seed: u64,
+        rng_pos: u64,
         outbox: &'a mut Vec<Outgoing<M>>,
     ) -> Self {
         Context {
@@ -103,7 +118,9 @@ impl<'a, M> Context<'a, M> {
             ports,
             edge_endpoints,
             round,
-            rng,
+            seed,
+            rng_pos,
+            rng: None,
             outbox,
             halted: false,
             error: None,
@@ -149,9 +166,29 @@ impl<'a, M> Context<'a, M> {
         self.knowledge.log_n_upper_bound
     }
 
-    /// The node's private, deterministic random stream.
+    /// The node's private, deterministic random stream: a ChaCha8
+    /// generator seeded from `(network seed, node)`, continuing in each step
+    /// where the node's previous step stopped drawing.
+    ///
+    /// Between steps the engine keeps only the stream's position (one `u64`
+    /// a node). The step's first call rebuilds the generator from the seed
+    /// and seeks it to that position; the engine stores the new position
+    /// when the step returns. A step that never calls this costs nothing,
+    /// and the draws are the same as from one generator drawn from
+    /// consecutively.
     pub fn rng(&mut self) -> &mut ChaCha8Rng {
-        self.rng
+        let (seed, node, pos) = (self.seed, self.knowledge.node.index(), self.rng_pos);
+        self.rng.get_or_insert_with(|| {
+            let mut rng = ChaCha8Rng::seed_from_u64(node_seed(seed, node));
+            rng.set_word_pos(pos);
+            rng
+        })
+    }
+
+    /// The stream's keystream position now: where the step's generator
+    /// stands, or where the step started if it drew nothing.
+    pub(crate) fn rng_position(&self) -> u64 {
+        self.rng.as_ref().map_or(self.rng_pos, ChaCha8Rng::word_pos)
     }
 
     /// Queues a message to be delivered over `edge` at the beginning of the
@@ -188,15 +225,13 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Queues a fully resolved message; the single construction site every
-    /// send path funnels through (`bytes` is sized later, by the engine, on
-    /// the worker that stepped this node).
+    /// send path funnels through.
     #[inline]
     fn queue_resolved(&mut self, edge: EdgeId, receiver: NodeId, payload: M) {
         self.outbox.push(Outgoing {
             edge,
             sender: self.knowledge.node,
             receiver,
-            bytes: 0,
             payload,
         });
     }
@@ -284,9 +319,13 @@ pub trait NodeProgram: Send {
     /// (`size_of::<Self::Message>()`), which is exact for fixed-size
     /// payloads. Programs whose messages carry heap data (token bundles,
     /// strings, …) should override this to charge the true serialized size —
-    /// the sizing rules are specified in `docs/METRICS.md`. Sizing runs on
-    /// the shard worker threads during the execute phase, so an override
-    /// must depend only on `message`.
+    /// the sizing rules are specified in `docs/METRICS.md`. The engine hands
+    /// this function to the backend as
+    /// [`RoundBarrier::payload_bytes`](crate::transport::RoundBarrier::payload_bytes),
+    /// and the backend sizes each message where it tallies it: at delivery
+    /// on the in-process backend (on the dispatch workers), when staging it
+    /// for the wire on the TCP and mock backends. An override must
+    /// therefore depend only on `message`.
     fn payload_bytes(message: &Self::Message) -> u64 {
         let _ = message;
         std::mem::size_of::<Self::Message>() as u64
@@ -331,7 +370,6 @@ mod tests {
     use super::*;
     use crate::knowledge::{log_n_upper_bound, KnowledgeModel};
     use freelunch_graph::MultiGraph;
-    use rand::SeedableRng;
 
     fn sample_graph() -> CsrGraph {
         let mut g = MultiGraph::new(3);
@@ -363,10 +401,9 @@ mod tests {
         let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox = Vec::new();
         let ctx: Context<'_, u32> =
-            Context::new(knowledge[0], &ports, &endpoints, 3, &mut rng, &mut outbox);
+            Context::new(knowledge[0], &ports, &endpoints, 3, 1, 0, &mut outbox);
         assert_eq!(ctx.node(), NodeId::new(0));
         assert_eq!(ctx.degree(), 2);
         assert_eq!(ctx.round(), 3);
@@ -381,10 +418,9 @@ mod tests {
         let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox = Vec::new();
         let mut ctx: Context<'_, &'static str> =
-            Context::new(knowledge[0], &ports, &endpoints, 1, &mut rng, &mut outbox);
+            Context::new(knowledge[0], &ports, &endpoints, 1, 1, 0, &mut outbox);
         ctx.send(EdgeId::new(0), "hello");
         assert_eq!(ctx.outbox.len(), 1);
         let sent = ctx.broadcast("all");
@@ -404,9 +440,8 @@ mod tests {
         // Node 1 is incident to edge 0 only.
         let ports = ports_of(1);
         let endpoints = endpoints_table();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<u8>> = Vec::new();
-        let mut ctx = Context::new(knowledge[1], &ports, &endpoints, 1, &mut rng, &mut outbox);
+        let mut ctx = Context::new(knowledge[1], &ports, &endpoints, 1, 1, 0, &mut outbox);
         // Edge 1 connects 0 and 2: not incident to node 1.
         ctx.send(EdgeId::new(1), 9);
         assert_eq!(
@@ -429,9 +464,8 @@ mod tests {
         let knowledge = sample_knowledge(&graph, KnowledgeModel::UniqueEdgeIds);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<u8>> = Vec::new();
-        let mut ctx = Context::new(knowledge[0], &ports, &endpoints, 1, &mut rng, &mut outbox);
+        let mut ctx = Context::new(knowledge[0], &ports, &endpoints, 1, 1, 0, &mut outbox);
         ctx.send(EdgeId::new(999), 1);
         assert_eq!(
             ctx.error,
@@ -452,10 +486,9 @@ mod tests {
             let knowledge = sample_knowledge(&graph, model);
             let ports = ports_of(0);
             let endpoints = endpoints_table();
-            let mut rng = ChaCha8Rng::seed_from_u64(1);
             let mut outbox = Vec::new();
             let mut ctx: Context<'_, u8> =
-                Context::new(knowledge[0], &ports, &endpoints, 1, &mut rng, &mut outbox);
+                Context::new(knowledge[0], &ports, &endpoints, 1, 1, 0, &mut outbox);
             assert!(ctx.send_port(1, 5));
             assert!(!ctx.send_port(99, 5));
             assert_eq!(ctx.outbox.len(), 1);
@@ -468,9 +501,8 @@ mod tests {
         let knowledge = sample_knowledge(&graph, KnowledgeModel::Kt1);
         let ports = ports_of(1);
         let endpoints = endpoints_table();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut outbox: Vec<Outgoing<()>> = Vec::new();
-        let mut ctx = Context::new(knowledge[1], &ports, &endpoints, 1, &mut rng, &mut outbox);
+        let mut ctx = Context::new(knowledge[1], &ports, &endpoints, 1, 1, 0, &mut outbox);
         assert!(!ctx.halted);
         ctx.halt();
         assert!(ctx.halted);
@@ -483,28 +515,20 @@ mod tests {
         let knowledge = sample_knowledge(&graph, KnowledgeModel::Kt1);
         let ports = ports_of(0);
         let endpoints = endpoints_table();
-        let mut rng_a = ChaCha8Rng::seed_from_u64(9);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(9);
-        let mut outbox_a: Vec<Outgoing<()>> = Vec::new();
-        let mut outbox_b: Vec<Outgoing<()>> = Vec::new();
-        let mut ctx_a = Context::new(
-            knowledge[0],
-            &ports,
-            &endpoints,
-            1,
-            &mut rng_a,
-            &mut outbox_a,
-        );
-        let a: u64 = ctx_a.rng().gen();
-        let mut ctx_b = Context::new(
-            knowledge[0],
-            &ports,
-            &endpoints,
-            1,
-            &mut rng_b,
-            &mut outbox_b,
-        );
-        let b: u64 = ctx_b.rng().gen();
-        assert_eq!(a, b);
+        let mut outbox: Vec<Outgoing<()>> = Vec::new();
+        let mut draw = |seed: u64, pos: u64| -> (u64, u64) {
+            let mut ctx = Context::new(knowledge[0], &ports, &endpoints, 1, seed, pos, &mut outbox);
+            assert_eq!(ctx.rng_position(), pos);
+            let value = ctx.rng().gen();
+            (value, ctx.rng_position())
+        };
+        assert_eq!(draw(9, 0), draw(9, 0));
+        assert_ne!(draw(9, 0).0, draw(10, 0).0);
+        // A step that starts at a stored position continues the stream: two
+        // steps drawing one word pair each equal one generator drawn twice.
+        let mut reference = ChaCha8Rng::seed_from_u64(node_seed(9, 0));
+        let (first, pos) = draw(9, 0);
+        assert_eq!((first, pos), (reference.gen(), 2));
+        assert_eq!(draw(9, pos), (reference.gen(), 4));
     }
 }

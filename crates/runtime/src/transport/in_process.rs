@@ -82,8 +82,8 @@ impl<M> InProcessTransport<M> {
 /// its mailbox and reserves exactly that count (a mailbox whose capacity
 /// already suffices is left as it is, so steady-state rounds allocate
 /// nothing), then drains the buckets in row order — ascending sender, per
-/// sender in send order — handing every message's edge slot and bytes to
-/// `tally`. Records trace events when given a trace, which only a
+/// sender in send order — handing every message's edge slot and payload to
+/// `tally`, which sizes and adds it. Records trace events when given a trace, which only a
 /// one-column grid does, because they must appear in canonical send order.
 fn deliver_column<M>(
     round: u32,
@@ -91,7 +91,7 @@ fn deliver_column<M>(
     lo: usize,
     mailboxes: &mut [Vec<Envelope<M>>],
     incoming: &mut [usize],
-    mut tally: impl FnMut(usize, u64),
+    mut tally: impl FnMut(usize, &M),
     mut trace: Option<&mut Trace>,
 ) {
     for outgoing in column.iter().flatten() {
@@ -103,7 +103,7 @@ fn deliver_column<M>(
     }
     for bucket in column {
         for outgoing in bucket.drain(..) {
-            tally(outgoing.edge.index(), outgoing.bytes);
+            tally(outgoing.edge.index(), &outgoing.payload);
             if let Some(trace) = trace.as_deref_mut() {
                 trace.record(TraceEvent {
                     round,
@@ -154,8 +154,9 @@ impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
     /// bucket keeping its capacity. Each column fills its mailboxes in
     /// exactly the serial order, and the column doubles as the cache block:
     /// until it is dry a worker touches only `column_width` consecutive
-    /// mailboxes. The workers add every message to the shared tally (atomic
-    /// sums — order-independent), so the charged ledger is bit-identical to
+    /// mailboxes. The workers size every payload
+    /// ([`RoundBarrier::payload_bytes`]) and add it to the shared tally
+    /// (atomic sums — order-independent), so the charged ledger is bit-identical to
     /// the serial one whichever worker claimed what. A one-column grid
     /// (one shard, tracing, or `n` within the column width) is delivered on
     /// the calling thread, which adds through `&mut` and pays no atomics.
@@ -174,6 +175,7 @@ impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
         self.tally.fit(b.ledger.edge_slots());
         self.incoming.resize(b.mailboxes.len(), 0);
         let width = b.column_width;
+        let payload_bytes = b.payload_bytes;
         let cols = b.mailboxes.len().div_ceil(width);
         if cols == 1 {
             let trace = b.traced.then_some(b.trace);
@@ -183,7 +185,7 @@ impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
                 0,
                 b.mailboxes,
                 &mut self.incoming,
-                |slot, bytes| self.tally.add(slot, bytes),
+                |slot, payload| self.tally.add(slot, payload_bytes(payload)),
                 trace,
             );
         } else {
@@ -203,7 +205,7 @@ impl<M: Send + Sync> Transport<M> for InProcessTransport<M> {
                 vec![(); b.shards],
                 claims,
                 |_: &mut (), (col, ((mailboxes, incoming), column))| {
-                    let add = |slot, bytes| tally.add_shared(slot, bytes);
+                    let add = |slot, payload: &M| tally.add_shared(slot, payload_bytes(payload));
                     deliver_column(round, column, col * width, mailboxes, incoming, add, None);
                 },
             );

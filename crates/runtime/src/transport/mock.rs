@@ -43,6 +43,7 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
             round,
             traced,
             local_sent,
+            payload_bytes,
             grid,
             mailboxes,
             ledger,
@@ -78,19 +79,19 @@ impl<M: WireCodec + Send + Sync + Clone + std::fmt::Debug> Transport<M> for Mock
         // the canonical send order.
         for bucket in grid.iter_mut() {
             for outgoing in bucket.drain(..) {
+                let bytes = payload_bytes(&outgoing.payload);
                 self.scratch.clear();
                 outgoing.payload.encode(&mut self.scratch);
-                if self.scratch.len() as u64 != outgoing.bytes {
+                if self.scratch.len() as u64 != bytes {
                     return Err(RuntimeError::transport(format!(
                         "mock: codec/payload_bytes mismatch on edge {}: encoded {} bytes, \
-                         payload_bytes charges {} (see docs/TRANSPORT.md)",
+                         payload_bytes charges {bytes} (see docs/TRANSPORT.md)",
                         outgoing.edge,
                         self.scratch.len(),
-                        outgoing.bytes
                     )));
                 }
                 // Sender-side accounting, identical to the in-process path.
-                self.tally.add(outgoing.edge.index(), outgoing.bytes);
+                self.tally.add(outgoing.edge.index(), bytes);
                 if traced {
                     trace.record(TraceEvent {
                         round,
@@ -145,22 +146,23 @@ mod tests {
         }
     }
 
-    /// One message from node 0 on `edge` to `receiver`, charged `bytes`.
-    fn outgoing<M>(edge: u64, receiver: u32, bytes: u64, payload: M) -> Outgoing<M> {
+    /// One message from node 0 on `edge` to `receiver`.
+    fn outgoing<M>(edge: u64, receiver: u32, payload: M) -> Outgoing<M> {
         Outgoing {
             edge: EdgeId::new(edge),
             sender: NodeId::new(0),
             receiver: NodeId::new(receiver),
-            bytes,
             payload,
         }
     }
 
     /// Runs one barrier of a 4-node, 8-edge-slot execution directly on
-    /// `mock`, with `sends` as its one-bucket send grid.
+    /// `mock`, with `sends` as its one-bucket send grid, sized by
+    /// `payload_bytes`.
     fn barrier<M: WireCodec + Send + Sync + Clone + std::fmt::Debug>(
         mock: &mut MockTransport,
         sends: Vec<Outgoing<M>>,
+        payload_bytes: fn(&M) -> u64,
         ledger: &mut MessageLedger,
     ) -> RuntimeResult<BarrierOutcome> {
         let local_sent = sends.len() as u64;
@@ -170,6 +172,7 @@ mod tests {
             shards: 1,
             traced: false,
             local_sent,
+            payload_bytes,
             halted: &[false; 4],
             grid: &mut [sends],
             column_width: 4,
@@ -187,12 +190,14 @@ mod tests {
     fn a_barrier_that_fails_in_staging_charges_nothing() {
         let mut mock = MockTransport::new();
         let mut ledger = MessageLedger::new(8);
-        // Edge 1 passes the codec check, edge 2 fails it (a u64 is 8 bytes).
-        let failed = vec![outgoing(1, 1, 8, 7u64), outgoing(2, 2, 3, 7u64)];
-        let error = barrier(&mut mock, failed, &mut ledger).unwrap_err();
+        // A u64 encodes to 8 bytes; this sizing charges the payload 9 only
+        // 3, so edge 1 passes the codec check and edge 2 fails it.
+        let sizing: fn(&u64) -> u64 = |&payload| if payload == 9 { 3 } else { 8 };
+        let failed = vec![outgoing(1, 1, 7u64), outgoing(2, 2, 9u64)];
+        let error = barrier(&mut mock, failed, sizing, &mut ledger).unwrap_err();
         assert!(error.to_string().contains("codec/payload_bytes mismatch"));
         assert_eq!(ledger.total_messages(), 0);
-        barrier(&mut mock, vec![outgoing(3, 3, 8, 7u64)], &mut ledger).unwrap();
+        barrier(&mut mock, vec![outgoing(3, 3, 7u64)], sizing, &mut ledger).unwrap();
         assert_eq!(ledger.messages_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);
     }
 
@@ -202,14 +207,21 @@ mod tests {
     fn a_barrier_that_fails_to_decode_charges_nothing() {
         let mut mock = MockTransport::new();
         let mut ledger = MessageLedger::new(8);
-        let failed = vec![outgoing(1, 1, 1, Even(2)), outgoing(2, 2, 1, Even(3))];
-        let error = barrier(&mut mock, failed, &mut ledger).unwrap_err();
+        let one_byte: fn(&Even) -> u64 = |_| 1;
+        let failed = vec![outgoing(1, 1, Even(2)), outgoing(2, 2, Even(3))];
+        let error = barrier(&mut mock, failed, one_byte, &mut ledger).unwrap_err();
         assert!(
             error.to_string().contains("edge e2 failed to decode"),
             "{error}"
         );
         assert_eq!(ledger.total_messages(), 0);
-        barrier(&mut mock, vec![outgoing(3, 3, 1, Even(6))], &mut ledger).unwrap();
+        barrier(
+            &mut mock,
+            vec![outgoing(3, 3, Even(6))],
+            one_byte,
+            &mut ledger,
+        )
+        .unwrap();
         assert_eq!(ledger.messages_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);
         assert_eq!(ledger.bytes_per_edge(), &[0, 0, 0, 1, 0, 0, 0, 0]);
     }

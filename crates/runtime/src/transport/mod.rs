@@ -61,8 +61,9 @@ use std::ops::Range;
 ///   in row order, hold exactly that order for the column's receivers, and
 ///   a grid of one column is the canonical send order itself;
 /// * charge every locally sent message to `ledger` (sender-side: a
-///   message is charged by the rank that sent it, once, with its
-///   [`Outgoing::bytes`] size). Backends tally the round per edge and
+///   message is charged by the rank that sent it, once, with the size
+///   [`RoundBarrier::payload_bytes`] gives its payload, computed where the
+///   backend tallies or stages the message). Backends tally the round per edge and
 ///   charge each touched edge with one `MessageLedger::record_bulk`, in
 ///   ascending edge order, when the
 ///   barrier succeeds; a barrier that fails charges nothing;
@@ -80,6 +81,11 @@ pub struct RoundBarrier<'a, M> {
     pub traced: bool,
     /// Number of messages in the send grid (after the fault plan).
     pub local_sent: u64,
+    /// The program's wire size of one payload,
+    /// [`NodeProgram::payload_bytes`](crate::node::NodeProgram::payload_bytes):
+    /// the bytes the ledger charges for a message, and, on a wire backend,
+    /// the exact length its codec must encode the payload to.
+    pub payload_bytes: fn(&M) -> u64,
     /// Per-node halted flags; only the entries of the engine's owned range
     /// are meaningful (a distributed backend exchanges these counts so
     /// every rank can agree on global termination).

@@ -963,14 +963,16 @@ fn rank_range(rank: usize, world: usize, node_count: usize) -> Range<usize> {
 
 impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> TcpTransport<M> {
     /// Drains the local send grid — one column, so its buckets in row
-    /// order are the canonical send order: tallies every send on its edge,
-    /// stages locally addressed messages, and encodes remote ones into
+    /// order are the canonical send order: sizes every send with
+    /// `payload_bytes` and tallies it on its edge, stages locally addressed
+    /// messages, and encodes remote ones into
     /// per-peer record buffers. Returns the per-node count entries for the
     /// stats section: the run lengths of the senders, whose messages lie
     /// next to each other in that order.
     fn stage_local_sends(
         &mut self,
         grid: &mut [Vec<Outgoing<M>>],
+        payload_bytes: fn(&M) -> u64,
         chunk: usize,
     ) -> RuntimeResult<Vec<(u32, u64)>> {
         let mut node_counts: Vec<(u32, u64)> = Vec::new();
@@ -980,7 +982,8 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> TcpTransport<M> {
                     Some((node, count)) if *node == outgoing.sender.raw() => *count += 1,
                     _ => node_counts.push((outgoing.sender.raw(), 1)),
                 }
-                self.edge_tally.add(outgoing.edge.index(), outgoing.bytes);
+                let bytes = payload_bytes(&outgoing.payload);
+                self.edge_tally.add(outgoing.edge.index(), bytes);
                 let dest = outgoing.receiver.index() / chunk;
                 if dest == self.rank {
                     self.local_pending.push(outgoing);
@@ -988,13 +991,12 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> TcpTransport<M> {
                 }
                 self.payload_buf.clear();
                 outgoing.payload.encode(&mut self.payload_buf);
-                if self.payload_buf.len() as u64 != outgoing.bytes {
+                if self.payload_buf.len() as u64 != bytes {
                     return Err(RuntimeError::transport(format!(
                         "codec/payload_bytes mismatch on edge {}: encoded {} bytes, \
-                         payload_bytes charges {} (see docs/TRANSPORT.md)",
+                         payload_bytes charges {bytes} (see docs/TRANSPORT.md)",
                         outgoing.edge,
                         self.payload_buf.len(),
-                        outgoing.bytes
                     )));
                 }
                 let buf = &mut self.frame_bufs[dest];
@@ -1150,6 +1152,7 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         let RoundBarrier {
             round,
             local_sent,
+            payload_bytes,
             halted,
             grid,
             mailboxes,
@@ -1173,7 +1176,7 @@ impl<M: WireCodec + Clone + fmt::Debug + Send + Sync> Transport<M> for TcpTransp
         self.edge_tally.discard();
         self.edge_tally.fit(ledger.edge_slots());
 
-        let node_counts = self.stage_local_sends(grid, chunk)?;
+        let node_counts = self.stage_local_sends(grid, payload_bytes, chunk)?;
         // `prev_faults` holds the totals as of the end of the *previous*
         // barrier — i.e. after merging every peer's deltas — so the delta
         // against it covers exactly this rank's own new drops/duplications
@@ -1572,15 +1575,23 @@ mod tests {
         );
     }
 
-    /// One message from node 0 on `edge` to `receiver`, charged `bytes`
-    /// (an 8-byte `u64` payload, so any other `bytes` is a codec mismatch).
-    fn outgoing(edge: u64, receiver: u32, bytes: u64) -> Outgoing<u64> {
+    /// One message from node 0 on `edge` to `receiver` carrying `payload`.
+    fn outgoing(edge: u64, receiver: u32, payload: u64) -> Outgoing<u64> {
         Outgoing {
             edge: EdgeId::new(edge),
             sender: NodeId::new(0),
             receiver: NodeId::new(receiver),
-            bytes,
-            payload: 7,
+            payload,
+        }
+    }
+
+    /// The barrier's sizing: a `u64` encodes to 8 bytes, but the payload 9
+    /// is charged 3, so a message carrying it fails the codec check.
+    fn sizing(&payload: &u64) -> u64 {
+        if payload == 9 {
+            3
+        } else {
+            8
         }
     }
 
@@ -1598,6 +1609,7 @@ mod tests {
             shards: 1,
             traced: false,
             local_sent,
+            payload_bytes: sizing,
             halted: &[false; 4],
             grid: &mut [sends],
             column_width: 4,
@@ -1626,10 +1638,10 @@ mod tests {
                         let mut ledger = MessageLedger::new(8);
                         if rank == 0 {
                             // Edge 1 stays local, edge 2 fails the codec check.
-                            let failed = vec![outgoing(1, 1, 8), outgoing(2, 2, 3)];
+                            let failed = vec![outgoing(1, 1, 7), outgoing(2, 2, 9)];
                             let error = barrier(&mut transport, failed, &mut ledger).unwrap_err();
                             assert!(error.to_string().contains("codec/payload_bytes mismatch"));
-                            barrier(&mut transport, vec![outgoing(3, 3, 8)], &mut ledger).unwrap();
+                            barrier(&mut transport, vec![outgoing(3, 3, 7)], &mut ledger).unwrap();
                         } else {
                             barrier(&mut transport, Vec::new(), &mut ledger).unwrap();
                         }
